@@ -12,7 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.plm.features import SCHEMA_FEATURE_DIM, schema_item_features
+from repro.plm.features import (
+    SCHEMA_FEATURE_DIM,
+    SchemaFeaturizer,
+    schema_item_features,
+)
 from repro.plm.labels import used_schema_items
 from repro.schema import Database, Schema
 from repro.spider.dataset import Dataset
@@ -57,14 +61,14 @@ class SchemaItemClassifier:
         """
         table_probs = {}
         column_probs = {}
-        for tbl in schema.tables:
-            table_probs[tbl.key] = self.score_item(
-                question, schema, tbl.key, "", database
-            )
-            for col in tbl.columns:
-                column_probs[(tbl.key, col.key)] = self.score_item(
-                    question, schema, tbl.key, col.key, database
-                )
+        for item, vector in SchemaFeaturizer(schema, database).rows(question):
+            # Row by row, as score_item scores: a batched matrix product
+            # can differ from it in the last bit.
+            p = float(self.predict_proba(vector)[0])
+            if item.column:
+                column_probs[(item.table, item.column)] = p
+            else:
+                table_probs[item.table] = p
         return table_probs, column_probs
 
     def fit(
@@ -98,28 +102,31 @@ class SchemaItemClassifier:
 
 
 def build_training_matrix(dataset: Dataset) -> tuple:
-    """Assemble (X, y) over all (example, schema item) pairs of a dataset."""
-    rows = []
-    labels = []
+    """Assemble (X, y) over all (example, schema item) pairs of a dataset.
+
+    Rows follow the dataset order, and within an example each table,
+    then its columns.  Each database's items are featurized once.
+    """
+    featurizers = {}
     for ex in dataset:
-        database = dataset.database(ex.db_id)
-        schema = database.schema
-        used_tables, used_columns = used_schema_items(ex.sql, schema)
-        for tbl in schema.tables:
-            rows.append(
-                schema_item_features(ex.question, schema, tbl.key, "", database)
-            )
-            labels.append(1.0 if tbl.key in used_tables else 0.0)
-            for col in tbl.columns:
-                rows.append(
-                    schema_item_features(
-                        ex.question, schema, tbl.key, col.key, database
-                    )
-                )
-                labels.append(
-                    1.0 if (tbl.key, col.key) in used_columns else 0.0
-                )
-    return np.array(rows), np.array(labels)
+        if ex.db_id not in featurizers:
+            database = dataset.database(ex.db_id)
+            featurizers[ex.db_id] = SchemaFeaturizer(database.schema, database)
+    n_rows = sum(len(featurizers[ex.db_id].items) for ex in dataset)
+    X = np.empty((n_rows, SCHEMA_FEATURE_DIM))
+    y = np.empty(n_rows)
+    row = 0
+    for ex in dataset:
+        featurizer = featurizers[ex.db_id]
+        used_tables, used_columns = used_schema_items(ex.sql, featurizer.schema)
+        for item, vector in featurizer.rows(ex.question):
+            X[row] = vector
+            if item.column:
+                y[row] = 1.0 if (item.table, item.column) in used_columns else 0.0
+            else:
+                y[row] = 1.0 if item.table in used_tables else 0.0
+            row += 1
+    return X, y
 
 
 def train_schema_classifier(

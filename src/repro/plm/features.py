@@ -1,13 +1,17 @@
 """Feature engineering for the PLM substrates.
 
 ``schema_item_features`` featurizes a (question, schema item) pair for the
-relevance classifier; ``question_cues`` extracts the operator-composition
-cue indicators that condition the skeleton sequence model.
+relevance classifier from a per-question half (:class:`QuestionTerms`)
+and a per-item half (:class:`SchemaItem`); :class:`SchemaFeaturizer`
+builds each half once so training and inference share one layout.
+``question_cues`` extracts the operator-composition cue indicators that
+condition the skeleton sequence model.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,6 +121,124 @@ def cue_names(question: str) -> set:
     return {name for name, regex in _CUE_REGEX if regex.search(text)}
 
 
+@dataclass(frozen=True)
+class QuestionTerms:
+    """The question's half of :func:`schema_item_features`, built once.
+
+    ``words`` are the singularized question words, ``phrase`` their
+    space-padded join (for full-phrase matches), ``trigrams`` the
+    character trigrams of the sorted word set and ``text`` the lowercase
+    question (for value mentions).
+    """
+
+    text: str
+    words: frozenset
+    phrase: str
+    trigrams: frozenset
+
+    @staticmethod
+    def of(question: str) -> "QuestionTerms":
+        """Split and singularize ``question`` once."""
+        singular = [singularize(w) for w in split_words(question)]
+        words = frozenset(singular)
+        return QuestionTerms(
+            text=question.lower(),
+            words=words,
+            phrase=_phrase(singular),
+            trigrams=_trigrams("".join(sorted(words))),
+        )
+
+
+@dataclass(frozen=True)
+class SchemaItem:
+    """The schema's half of :func:`schema_item_features` for one item.
+
+    ``column`` empty means the item is the table itself; ``table_words``
+    (the owning table's words) and the key flags only matter for columns.
+    ``mentions`` are ``(needle, word_pattern)`` tests for the column's
+    sample values when a database is given (see :func:`_mention_tests`).
+    """
+
+    table: str
+    column: str
+    words: tuple
+    phrase: str
+    trigrams: frozenset
+    table_words: tuple = ()
+    is_pk: float = 0.0
+    is_fk: float = 0.0
+    mentions: tuple = ()
+
+    @staticmethod
+    def of(
+        schema: Schema,
+        table: str,
+        column: str = "",
+        database: Database = None,
+        table_words: tuple = None,
+    ) -> "SchemaItem":
+        """Featurize one item; pass ``table_words`` to reuse the table's."""
+        tbl = schema.table(table)
+        if table_words is None:
+            table_words = _words(tbl.natural_name)
+        if not column:
+            return SchemaItem(
+                table, "", table_words, _phrase(table_words),
+                _trigrams("".join(table_words)),
+            )
+        words = _words(tbl.column(column).natural_name)
+        is_fk = 0.0
+        for fk in schema.foreign_keys:
+            src_t, src_c, dst_t, dst_c = fk.normalized()
+            if (src_t, src_c) == (table.lower(), column.lower()):
+                is_fk = 1.0
+            if (dst_t, dst_c) == (table.lower(), column.lower()):
+                is_fk = 1.0
+        mentions = ()
+        if database is not None:
+            mentions = _mention_tests(
+                database.column_values(table, column, limit=50)
+            )
+        return SchemaItem(
+            table,
+            column,
+            words,
+            _phrase(words),
+            _trigrams("".join(words)),
+            table_words=table_words,
+            is_pk=1.0 if (tbl.primary_key or "").lower() == column.lower() else 0.0,
+            is_fk=is_fk,
+            mentions=mentions,
+        )
+
+
+class SchemaFeaturizer:
+    """Every item of one schema, featurized once and reused per question.
+
+    ``items`` are in training-row order: each table, then its columns.
+    """
+
+    def __init__(self, schema: Schema, database: Database = None) -> None:
+        self.schema = schema
+        self.items = []
+        for tbl in schema.tables:
+            table_item = SchemaItem.of(schema, tbl.key)
+            self.items.append(table_item)
+            for col in tbl.columns:
+                self.items.append(
+                    SchemaItem.of(
+                        schema, tbl.key, col.key, database, table_item.words
+                    )
+                )
+        self.size = schema.size()
+
+    def rows(self, question: str):
+        """Yield ``(item, feature_vector)`` for every item, in order."""
+        terms = QuestionTerms.of(question)
+        for item in self.items:
+            yield item, item_features(terms, item, self.size)
+
+
 def schema_item_features(
     question: str,
     schema: Schema,
@@ -130,46 +252,30 @@ def schema_item_features(
     capture lexical overlap between the question and the item's natural
     name, value mentions, and structural hints (primary/foreign key).
     """
-    q_words = split_words(question)
-    q_set = {singularize(w) for w in q_words}
-    q_text = " " + " ".join(singularize(w) for w in q_words) + " "
+    item = SchemaItem.of(schema, item_table, item_column, database)
+    return item_features(QuestionTerms.of(question), item, schema.size())
 
-    table = schema.table(item_table)
-    if item_column:
-        natural = table.column(item_column).natural_name
-    else:
-        natural = table.natural_name
-    item_words = [singularize(w) for w in split_words(natural)]
-    item_phrase = " " + " ".join(item_words) + " "
 
-    overlap = sum(1 for w in item_words if w in q_set)
-    full_phrase = 1.0 if item_phrase in q_text else 0.0
-    coverage = overlap / len(item_words) if item_words else 0.0
+def item_features(
+    terms: QuestionTerms, item: SchemaItem, schema_size: tuple
+) -> np.ndarray:
+    """The feature vector of one (question, item) pair."""
+    overlap = sum(1 for w in item.words if w in terms.words)
+    full_phrase = 1.0 if item.phrase in terms.phrase else 0.0
+    coverage = overlap / len(item.words) if item.words else 0.0
 
     # Character-trigram similarity (catches partial morphology).
-    char_sim = _trigram_similarity("".join(item_words), "".join(sorted(q_set)))
+    char_sim = 0.0
+    if item.trigrams and terms.trigrams:
+        char_sim = len(item.trigrams & terms.trigrams) / len(item.trigrams)
 
-    value_hit = 0.0
-    if item_column and database is not None:
-        value_hit = _value_mentioned(question, database, item_table, item_column)
-
-    is_pk = 0.0
-    is_fk = 0.0
     table_mentioned = 0.0
-    if item_column:
-        is_pk = 1.0 if (table.primary_key or "").lower() == item_column.lower() else 0.0
-        for fk in schema.foreign_keys:
-            src_t, src_c, dst_t, dst_c = fk.normalized()
-            if (src_t, src_c) == (item_table.lower(), item_column.lower()):
-                is_fk = 1.0
-            if (dst_t, dst_c) == (item_table.lower(), item_column.lower()):
-                is_fk = 1.0
-        t_words = [singularize(w) for w in split_words(table.natural_name)]
-        table_mentioned = (
-            sum(1 for w in t_words if w in q_set) / len(t_words) if t_words else 0.0
-        )
+    if item.column and item.table_words:
+        table_mentioned = sum(
+            1 for w in item.table_words if w in terms.words
+        ) / len(item.table_words)
 
-    n_tables, n_columns = schema.size()
+    n_tables, n_columns = schema_size
     return np.array(
         [
             1.0,  # bias
@@ -177,11 +283,11 @@ def schema_item_features(
             coverage,
             full_phrase,
             char_sim,
-            value_hit,
-            is_pk,
-            is_fk,
+            _value_mentioned(terms.text, item.mentions),
+            item.is_pk,
+            item.is_fk,
             table_mentioned,
-            1.0 if item_column else 0.0,  # item is a column
+            1.0 if item.column else 0.0,  # item is a column
             min(n_tables, 10) / 10.0,
             min(n_columns, 50) / 50.0,
         ],
@@ -189,24 +295,35 @@ def schema_item_features(
     )
 
 
-def _trigram_similarity(a: str, b: str) -> float:
-    ta = {a[i : i + 3] for i in range(max(0, len(a) - 2))}
-    tb = {b[i : i + 3] for i in range(max(0, len(b) - 2))}
-    if not ta or not tb:
-        return 0.0
-    return len(ta & tb) / len(ta)
+def _words(natural_name: str) -> tuple:
+    return tuple(singularize(w) for w in split_words(natural_name))
 
 
-def _value_mentioned(
-    question: str, database: Database, table: str, column: str
-) -> float:
-    text = question.lower()
-    values = database.column_values(table, column, limit=50)
+def _phrase(words: tuple) -> str:
+    return " " + " ".join(words) + " "
+
+
+def _trigrams(text: str) -> frozenset:
+    return frozenset(text[i : i + 3] for i in range(max(0, len(text) - 2)))
+
+
+def _mention_tests(values: list) -> tuple:
+    """Value-mention tests: strings (3+ chars) by substring, numbers by word.
+
+    A number's pattern only runs once its text occurs in the question.
+    """
+    tests = []
     for value in values:
-        if isinstance(value, str) and len(value) >= 3 and value.lower() in text:
-            return 1.0
-        if isinstance(value, (int, float)) and re.search(
-            rf"\b{re.escape(str(value))}\b", text
-        ):
+        if isinstance(value, str) and len(value) >= 3:
+            tests.append((value.lower(), None))
+        elif isinstance(value, (int, float)):
+            text = str(value)
+            tests.append((text, re.compile(rf"\b{re.escape(text)}\b")))
+    return tuple(tests)
+
+
+def _value_mentioned(text: str, mentions: tuple) -> float:
+    for needle, pattern in mentions:
+        if needle in text and (pattern is None or pattern.search(text)):
             return 1.0
     return 0.0

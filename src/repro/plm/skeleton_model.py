@@ -204,26 +204,20 @@ class SkeletonPredictor:
     ) -> "SkeletonPredictor":
         """Train on ``[(tokens, cue_vector, n_tables)]`` sequences.
 
-        Features are assembled lazily per minibatch — the interaction
-        block makes the full design matrix too large to hold at once.
+        Steps are held once as compact index arrays (:class:`_StepTable`).
         """
-        steps = self._assemble_steps(sequences)
+        table = _StepTable.build(self, sequences)
         rng = derive_rng(seed, "skeleton_model")
         v = len(self.vocab)
         weights = np.zeros((v, self.dim), dtype=np.float32)
-        n = len(steps)
+        n = len(table.target)
         for epoch in range(epochs):
             step_lr = lr
             order = rng.permutation(n)
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
-                xb = np.stack(
-                    [
-                        self._step_features(*steps[int(i)][:-1])
-                        for i in idx
-                    ]
-                )
-                yb = np.array([steps[int(i)][-1] for i in idx])
+                xb = table.minibatch(idx)
+                yb = table.target[idx]
                 logits = xb @ weights.T
                 logits -= logits.max(axis=1, keepdims=True)
                 p = np.exp(logits)
@@ -265,26 +259,83 @@ class SkeletonPredictor:
         self.class_weights = weights
         return self
 
-    def _assemble_steps(self, sequences: list) -> list:
-        """(prev, prev2, cues, position, n_tables, target_index) per step."""
-        steps = []
-        for tokens, cues, n_tables in sequences:
-            seq = list(tokens) + [EOS]
-            prev, prev2 = BOS, BOS
-            for position, token in enumerate(seq):
-                steps.append(
-                    (prev, prev2, cues, position, n_tables, self._index[token])
-                )
-                prev2, prev = prev, token
-        return steps
+
+@dataclass(frozen=True)
+class _StepTable:
+    """Every training step of :meth:`SkeletonPredictor.fit`, built once.
+
+    One row per (sequence, position) step: the sequence id (into the
+    ``(n_sequences, CUE_DIM)`` cue table), the one-hot columns of the
+    previous two tokens, the scaled position and table-count features,
+    and the target token index.  :meth:`minibatch` scatters these into
+    exactly the float32 rows :meth:`SkeletonPredictor._step_features`
+    builds, without ever holding the full ``(steps, dim)`` matrix.
+    """
+
+    seq: np.ndarray  # (steps,) int32 sequence id
+    prev: np.ndarray  # (steps,) int32 column of the previous token
+    prev2: np.ndarray  # (steps,) int32 column of the token before it
+    position: np.ndarray  # (steps,) float32 min(position, 40) / 40
+    n_tables: np.ndarray  # (steps,) float32 min(n_tables, 4) / 4
+    target: np.ndarray  # (steps,) int32 next-token index
+    cues: np.ndarray  # (n_sequences, CUE_DIM) float32
+    vocab_size: int
+
+    @staticmethod
+    def build(model: SkeletonPredictor, sequences: list) -> "_StepTable":
+        """Index every step of ``[(tokens, cue_vector, n_tables)]``."""
+        bos = model._index[BOS]
+        lengths = np.array(
+            [len(tokens) + 1 for tokens, _, _ in sequences], dtype=np.int64
+        )
+        target = np.array(
+            [
+                model._index[token]
+                for tokens, _, _ in sequences
+                for token in [*tokens, EOS]
+            ],
+            dtype=np.int32,
+        )
+        seq = np.repeat(np.arange(len(sequences), dtype=np.int32), lengths)
+        first = np.cumsum(lengths) - lengths  # each sequence's first step
+        position = np.arange(len(target)) - first[seq]
+        prev = np.roll(target, 1)
+        prev[first] = bos
+        prev2 = np.roll(prev, 1)
+        prev2[first] = bos
+        n_tables = np.array([n for _, _, n in sequences], dtype=float)
+        cues = np.array([c for _, c, _ in sequences], dtype=np.float32)
+        return _StepTable(
+            seq=seq,
+            prev=prev,
+            prev2=prev2 + len(model.vocab),
+            position=(np.minimum(position, 40) / 40.0).astype(np.float32),
+            n_tables=(np.minimum(n_tables, 4) / 4.0).astype(np.float32)[seq],
+            target=target,
+            cues=cues.reshape(len(sequences), CUE_DIM),
+            vocab_size=len(model.vocab),
+        )
+
+    def minibatch(self, idx: np.ndarray) -> np.ndarray:
+        """The float32 feature rows of steps ``idx``, one per step."""
+        cue_start = 2 * self.vocab_size
+        bias = cue_start + CUE_DIM
+        rows = np.arange(len(idx))
+        xb = np.zeros((len(idx), bias + 3), dtype=np.float32)
+        xb[rows, self.prev[idx]] = 1.0
+        xb[rows, self.prev2[idx]] = 1.0
+        xb[:, cue_start:bias] = self.cues[self.seq[idx]]
+        xb[:, bias] = 1.0
+        xb[:, bias + 1] = self.position[idx]
+        xb[:, bias + 2] = self.n_tables[idx]
+        return xb
 
 
-def train_skeleton_predictor(
-    dataset: Dataset, epochs: int = 12, seed: int = 0, rerank: bool = False
-) -> SkeletonPredictor:
-    """Build vocabulary and train the predictor on a dataset's skeletons.
+def skeleton_training_data(dataset: Dataset) -> tuple:
+    """``(sequences, vocab, trie)`` for training on a dataset's skeletons.
 
-    The schema-size feature uses the number of *gold-used* tables, matching
+    ``sequences`` are ``[(tokens, cue_vector, n_tables)]``.  The
+    schema-size feature uses the number of *gold-used* tables, matching
     the pruned schemas the model sees at inference time.
     """
     sequences = []
@@ -302,6 +353,14 @@ def train_skeleton_predictor(
             trie.setdefault(tuple(tokens[:i]), set()).add(tokens[i])
         trie.setdefault(tuple(tokens), set()).add(EOS)
     vocab = [BOS, EOS] + sorted(vocab_set)
+    return sequences, vocab, trie
+
+
+def train_skeleton_predictor(
+    dataset: Dataset, epochs: int = 12, seed: int = 0, rerank: bool = False
+) -> SkeletonPredictor:
+    """Build vocabulary and train the predictor on a dataset's skeletons."""
+    sequences, vocab, trie = skeleton_training_data(dataset)
     predictor = SkeletonPredictor(vocab=vocab, trie=trie)
     predictor.fit(sequences, epochs=epochs, seed=seed)
     if rerank:

@@ -1,11 +1,28 @@
 """Tests for the schema-item relevance classifier."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.plm import train_schema_classifier
+from repro.plm import schema_item_features, train_schema_classifier
 from repro.plm.classifier import SchemaItemClassifier, build_training_matrix
 from repro.plm.labels import used_schema_items
+
+# sha256 pins on the fixture corpus, recorded from the per-item featurizer.
+CLASSIFIER_WEIGHTS_SHA256 = (
+    "043ab49aaba8672651b362dfe176b2d59e5537fbd5cb675eb4e113019a33e439"
+)
+TRAINING_X_SHA256 = (
+    "5448aba8e9392b1ca0387d259e58e7d106f814c00eafce894c52b49111816a42"
+)
+TRAINING_Y_SHA256 = (
+    "bdf8a3f7c0950809822d90b6a5db8e27f790d861611636c9cbdecb49c573b33c"
+)
+
+
+def sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +42,32 @@ class TestTrainingMatrix:
     def test_positives_are_minority(self, train_set):
         X, y = build_training_matrix(train_set.subset(30))
         assert 0 < y.mean() < 0.5
+
+    def test_rows_are_each_table_then_its_columns(self, train_set):
+        rows, labels = [], []
+        for ex in train_set:
+            db = train_set.database(ex.db_id)
+            used_tables, used_columns = used_schema_items(ex.sql, db.schema)
+            for tbl in db.schema.tables:
+                rows.append(
+                    schema_item_features(ex.question, db.schema, tbl.key, "", db)
+                )
+                labels.append(float(tbl.key in used_tables))
+                for col in tbl.columns:
+                    rows.append(
+                        schema_item_features(
+                            ex.question, db.schema, tbl.key, col.key, db
+                        )
+                    )
+                    labels.append(float((tbl.key, col.key) in used_columns))
+        X, y = build_training_matrix(train_set)
+        assert X.dtype == y.dtype == np.float64
+        assert np.array_equal(X, np.array(rows))
+        assert np.array_equal(y, np.array(labels))
+
+    def test_matrix_is_bit_identical(self, train_set):
+        X, y = build_training_matrix(train_set)
+        assert (sha256(X), sha256(y)) == (TRAINING_X_SHA256, TRAINING_Y_SHA256)
 
 
 class TestFocalLossFit:
@@ -48,6 +91,23 @@ class TestFocalLossFit:
 
 
 class TestTrainedClassifier:
+    def test_weights_are_bit_identical(self, classifier):
+        assert sha256(classifier.weights) == CLASSIFIER_WEIGHTS_SHA256
+
+    def test_score_schema_equals_score_item(self, classifier, dev_set):
+        for ex in dev_set:
+            db = dev_set.database(ex.db_id)
+            tprobs, cprobs = classifier.score_schema(ex.question, db.schema, db)
+            assert list(tprobs) == [tbl.key for tbl in db.schema.tables]
+            for tbl in db.schema.tables:
+                assert tprobs[tbl.key] == classifier.score_item(
+                    ex.question, db.schema, tbl.key, "", db
+                )
+                for col in tbl.columns:
+                    assert cprobs[(tbl.key, col.key)] == classifier.score_item(
+                        ex.question, db.schema, tbl.key, col.key, db
+                    )
+
     def test_scores_are_probabilities(self, classifier, dev_set):
         ex = dev_set.examples[0]
         db = dev_set.database(ex.db_id)
