@@ -56,43 +56,33 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
     sys_version = ""
-    # A response sent as two small segments would wait on the client's
-    # delayed ACK (~40 ms) under Nagle's algorithm; send it at once.
-    disable_nagle_algorithm = True
-    _pending_body = b""
 
     # -- plumbing ---------------------------------------------------------------
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         """Silence stdlib per-request stderr logging."""
 
-    def flush_headers(self) -> None:
-        """Write the buffered headers and any pending body in one write."""
-        body, self._pending_body = self._pending_body, b""
-        self.wfile.write(b"".join(getattr(self, "_headers_buffer", ())) + body)
-        self._headers_buffer = []
-
     @property
     def service(self) -> NL2SQLService:
         return self.server.service
 
-    def _send_bytes(self, status: int, content_type: str, data: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self._pending_body = data
-        self.end_headers()
-        if self._pending_body:  # HTTP/0.9 has no header block to flush
-            self.flush_headers()
-
     def _send_json(self, status: int, payload) -> None:
         body = payload if isinstance(payload, (dict, list)) else payload.to_dict()
         data = json.dumps(body, sort_keys=True).encode("utf-8")
-        self._send_bytes(status, "application/json", data)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
 
     def _send_text(self, status: int, text: str,
                    content_type: str = "text/plain; charset=utf-8") -> None:
-        self._send_bytes(status, content_type, text.encode("utf-8"))
+        data = text.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
 
     def _send_error_envelope(self, status: int, code: str,
                              message: str) -> None:

@@ -2,7 +2,6 @@
 
 import json
 import socket
-import time
 from http.client import HTTPConnection
 
 import pytest
@@ -224,15 +223,6 @@ class TestGets:
         # keep-alive works.
         assert get(client, "/v1/health")[0] == 200
         assert get(client, "/v1/health")[0] == 200
-
-    def test_back_to_back_keep_alive_requests_do_not_stall(self, client):
-        # A response written as separate header and body segments waits
-        # on the client's delayed ACK (~40 ms each under Nagle's
-        # algorithm): 20 requests would then take >= 0.8 s.
-        start = time.perf_counter()
-        for _ in range(20):
-            assert get(client, "/v1/health")[0] == 200
-        assert time.perf_counter() - start < 0.5
 
     def test_http09_request_gets_the_bare_body(self, server):
         # HTTP/0.9 has no header block, so the body is written on its own.
