@@ -22,13 +22,13 @@ from http.client import HTTPConnection
 
 import pytest
 
-from benchmarks.bench_serve import fire, percentile
+from benchmarks.bench_serve import fire
 from benchmarks.common import print_table
 from benchmarks.conftest import LLM_SEED
 from repro import api
 from repro.api.runtime import make_live
 from repro.llm import GPT4, MockLLM, SimulatedLatencyLLM
-from repro.obs import Observer
+from repro.obs import Observer, percentile
 from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
@@ -119,9 +119,9 @@ def run_closed_loop(server, examples):
     return {
         "requests": len(flat),
         "qps": round(len(flat) / wall, 1),
-        "p50_ms": round(percentile(flat, 0.50) * 1000, 2),
-        "p95_ms": round(percentile(flat, 0.95) * 1000, 2),
-        "p99_ms": round(percentile(flat, 0.99) * 1000, 2),
+        "p50_ms": round(percentile(flat, 50) * 1000, 2),
+        "p95_ms": round(percentile(flat, 95) * 1000, 2),
+        "p99_ms": round(percentile(flat, 99) * 1000, 2),
         "errors": sum(1 for code in codes if code >= 400),
     }
 

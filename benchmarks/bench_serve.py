@@ -26,7 +26,7 @@ from benchmarks.common import print_table
 from benchmarks.conftest import LLM_SEED
 from repro import api
 from repro.llm import GPT4, MockLLM, SimulatedLatencyLLM
-from repro.obs import Observer
+from repro.obs import Observer, percentile
 from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
@@ -52,12 +52,6 @@ OPEN_LOOP_REQUESTS = 120
 
 MIN_QPS = 50.0
 MAX_P99_OVER_P50 = 2.0
-
-
-def percentile(values, q):
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 @pytest.fixture(scope="module")
@@ -144,9 +138,9 @@ def run_closed_loop(server, examples):
         "requests": len(flat),
         "wall_s": round(wall, 3),
         "qps": round(len(flat) / wall, 1),
-        "p50_ms": round(percentile(flat, 0.50) * 1000, 2),
-        "p95_ms": round(percentile(flat, 0.95) * 1000, 2),
-        "p99_ms": round(percentile(flat, 0.99) * 1000, 2),
+        "p50_ms": round(percentile(flat, 50) * 1000, 2),
+        "p95_ms": round(percentile(flat, 95) * 1000, 2),
+        "p99_ms": round(percentile(flat, 99) * 1000, 2),
         "rejected": sum(1 for code in codes if code == 429),
         "errors": sum(1 for code in codes if code >= 400 and code != 429),
     }
@@ -187,9 +181,9 @@ def run_open_loop(server, examples):
         "offered_qps": OPEN_LOOP_RATE,
         "requests": len(latencies),
         "achieved_qps": round(len(latencies) / wall, 1),
-        "p50_ms": round(percentile(latencies, 0.50) * 1000, 2),
-        "p95_ms": round(percentile(latencies, 0.95) * 1000, 2),
-        "p99_ms": round(percentile(latencies, 0.99) * 1000, 2),
+        "p50_ms": round(percentile(latencies, 50) * 1000, 2),
+        "p95_ms": round(percentile(latencies, 95) * 1000, 2),
+        "p99_ms": round(percentile(latencies, 99) * 1000, 2),
         "rejected": sum(1 for code in codes if code == 429),
     }
 

@@ -268,21 +268,19 @@ def _stdlib_random(ctx: FileContext):
 
 
 #: Packages whose public API surface must be self-documenting: the
-#: paper-facing core pipeline, the persistent demonstration store, the
-#: retrieval tier, and the evaluation harness.
+#: paper-facing core pipeline, the persistent demonstration store, and
+#: the evaluation harness.
 _DOCSTRING_ROOTS = (
     "repro/core",
     "repro/store",
-    "repro/retrieval",
     "repro/eval",
 )
 
 
 @rule(
     "py.missing-docstring",
-    "public functions in repro/core, repro/store, repro/retrieval, and "
-    "repro/eval are the paper-facing API surface; each needs a non-empty "
-    "docstring",
+    "public functions in repro/core, repro/store, and repro/eval are the "
+    "paper-facing API surface; each needs a non-empty docstring",
 )
 def _missing_docstring(ctx: FileContext):
     if not str(ctx.path).startswith(_DOCSTRING_ROOTS):

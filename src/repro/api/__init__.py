@@ -166,13 +166,13 @@ def translate(translator, request, *, database,
     (entering its degradation ladder at ``min_rung`` when the instance
     supports demotion), and flattens the result back onto the wire.
 
-    Passing a legacy :class:`~repro.eval.harness.TranslationTask` as
-    ``request`` still works through the :mod:`repro.api.compat` shim,
-    with a :class:`DeprecationWarning`.
+    :raises TypeError: ``request`` is not a ``TranslateRequest`` (an
+        engine :class:`~repro.eval.harness.TranslationTask` included).
     """
-    from repro.api.compat import coerce_request
-
-    request = coerce_request(request)
+    if not isinstance(request, TranslateRequest):
+        raise TypeError(
+            f"expected a TranslateRequest, got {type(request).__name__}"
+        )
     task = task_from_request(request, database)
     demotion = min(min_rung, getattr(translator, "max_demotion", 0))
     if demotion > 0:

@@ -18,11 +18,6 @@ from typing import Callable, Optional
 
 from repro.obs import Observer, write_trace
 
-#: Approach-specific knobs that only the PURPLE factory accepts.
-_PURPLE_ONLY = (
-    "--store/--offline-index/--repair-rounds/--repair-token-budget/--retrieval"
-)
-
 
 class RuntimeConfigError(ValueError):
     """A run was configured inconsistently (bad approach/knob pairing)."""
@@ -60,7 +55,7 @@ def make_llm(llm_name: str, cache_dir=None, latency: Optional[dict] = None):
 def build_approach(name: str, llm, train, budget: int, consistency: int,
                    store=None, offline_index: bool = False,
                    repair_rounds: int = 0, repair_token_budget=None,
-                   dialect: str = "sqlite", retrieval: str = "off"):
+                   dialect: str = "sqlite"):
     """Construct (and fit) an approach through the registry.
 
     Raises :class:`RuntimeConfigError` when a purple-only knob is
@@ -92,12 +87,6 @@ def build_approach(name: str, llm, train, budget: int, consistency: int,
                 "--dialect applies to the purple approach only"
             )
         extra["dialect"] = dialect
-    if retrieval != "off":
-        if name != "purple":
-            raise RuntimeConfigError(
-                "--retrieval applies to the purple approach only"
-            )
-        extra["retrieval"] = retrieval
     return api.create(
         name, llm=llm, train=train, budget=budget,
         consistency_n=consistency, **extra,

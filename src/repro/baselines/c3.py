@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.api.compat import absorb_positional
 from repro.api.defaults import DEFAULT_CONSISTENCY_N, DEFAULT_VALUES_PER_COLUMN
 from repro.api.registry import register
 from repro.core.consistency import consistency_vote
@@ -36,18 +35,10 @@ class C3:
     def __init__(
         self,
         llm: LLM,
-        *args,
+        *,
         consistency_n: int = DEFAULT_CONSISTENCY_N,
         values_per_column: int = DEFAULT_VALUES_PER_COLUMN,
     ):
-        consistency_n, values_per_column = absorb_positional(
-            "C3",
-            args,
-            (
-                ("consistency_n", consistency_n),
-                ("values_per_column", values_per_column),
-            ),
-        )
         self.llm = llm
         self.consistency_n = consistency_n
         self.values_per_column = values_per_column

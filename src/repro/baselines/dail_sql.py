@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.api.compat import absorb_positional
 from repro.api.defaults import DEFAULT_BUDGET, DEFAULT_DAIL_CONSISTENCY_N
 from repro.api.registry import register
 from repro.core.prompt import PromptBuilder
@@ -63,20 +62,11 @@ class DAILSQL:
     def __init__(
         self,
         llm: LLM,
-        *args,
+        *,
         demo_pool: Optional[Dataset] = None,
         budget: int = DEFAULT_BUDGET,
         consistency_n: int = DEFAULT_DAIL_CONSISTENCY_N,
     ):
-        demo_pool, budget, consistency_n = absorb_positional(
-            "DAILSQL",
-            args,
-            (
-                ("demo_pool", demo_pool),
-                ("budget", budget),
-                ("consistency_n", consistency_n),
-            ),
-        )
         self.llm = llm
         self.budget = budget
         self.consistency_n = consistency_n

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.api.compat import absorb_positional
 from repro.api.registry import register
 from repro.eval.cost import TokenUsage
 from repro.eval.harness import TranslationResult, TranslationTask
@@ -48,10 +47,7 @@ _PATTERN_FAMILIES = (
 class DINSQL:
     """Few-shot CoT with a fixed demonstration set and self-correction."""
 
-    def __init__(self, llm: LLM, *args, demo_pool: Optional[Dataset] = None):
-        (demo_pool,) = absorb_positional(
-            "DINSQL", args, (("demo_pool", demo_pool),)
-        )
+    def __init__(self, llm: LLM, *, demo_pool: Optional[Dataset] = None):
         self.llm = llm
         self.name = f"DIN-SQL({llm.name})"
         self._static_demos: list = []

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.api.compat import absorb_positional
 from repro.api.defaults import DEFAULT_SEED, DEFAULT_TOP_K
 from repro.api.registry import register
 from repro.core.pruning import SchemaPruner
@@ -52,13 +51,8 @@ PLM_PROFILE = LLMProfile(
 class PLMSeq2SQL:
     """A fine-tuned seq2seq pipeline without any LLM."""
 
-    def __init__(self, *args, demo_pool: Optional[Dataset] = None,
+    def __init__(self, *, demo_pool: Optional[Dataset] = None,
                  seed: int = DEFAULT_SEED, top_k: int = DEFAULT_TOP_K):
-        demo_pool, seed, top_k = absorb_positional(
-            "PLMSeq2SQL",
-            args,
-            (("demo_pool", demo_pool), ("seed", seed), ("top_k", top_k)),
-        )
         self.name = "PLM-seq2seq"
         self.seed = seed
         self.top_k = top_k

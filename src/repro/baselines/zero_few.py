@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.api.compat import absorb_positional
 from repro.api.defaults import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
@@ -33,12 +32,9 @@ class ZeroShotSQL:
     def __init__(
         self,
         llm: LLM,
-        *args,
+        *,
         values_per_column: int = DEFAULT_VALUES_PER_COLUMN,
     ):
-        (values_per_column,) = absorb_positional(
-            "ZeroShotSQL", args, (("values_per_column", values_per_column),)
-        )
         self.llm = llm
         self.values_per_column = values_per_column
         self.name = f"ZeroShot({llm.name})"
@@ -81,16 +77,11 @@ class FewShotRandom:
     def __init__(
         self,
         llm: LLM,
-        *args,
+        *,
         demo_pool: Optional[Dataset] = None,
         budget: int = DEFAULT_BUDGET,
         seed: int = DEFAULT_SEED,
     ):
-        demo_pool, budget, seed = absorb_positional(
-            "FewShotRandom",
-            args,
-            (("demo_pool", demo_pool), ("budget", budget), ("seed", seed)),
-        )
         self.llm = llm
         self.budget = budget
         self.seed = seed

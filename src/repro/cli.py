@@ -80,7 +80,7 @@ def _make_llm(llm_name: str, cache_dir=None):
 def _build_approach(name: str, llm, train: Dataset, budget: int,
                     consistency: int, store=None, offline_index=False,
                     repair_rounds=0, repair_token_budget=None,
-                    dialect="sqlite", retrieval="off"):
+                    dialect="sqlite"):
     """Registry construction with CLI error rendering.
 
     The assembly itself lives in :func:`repro.api.runtime.build_approach`
@@ -98,7 +98,7 @@ def _build_approach(name: str, llm, train: Dataset, budget: int,
             store=store, offline_index=offline_index,
             repair_rounds=repair_rounds,
             repair_token_budget=repair_token_budget,
-            dialect=dialect, retrieval=retrieval,
+            dialect=dialect,
         )
     except (RuntimeConfigError, api.UnknownApproachError) as exc:
         raise SystemExit(exception_text(exc))
@@ -143,7 +143,7 @@ def _cmd_evaluate(args) -> int:
             store=args.store, offline_index=args.offline_index,
             repair_rounds=args.repair_rounds,
             repair_token_budget=args.repair_token_budget,
-            dialect=args.dialect, retrieval=args.retrieval,
+            dialect=args.dialect,
         )
     report = evaluate_approach(
         approach, dev, limit=args.limit, workers=args.workers,
@@ -225,8 +225,7 @@ def _cmd_translate(args) -> int:
                                store=args.store,
                                offline_index=args.offline_index,
                                repair_rounds=args.repair_rounds,
-                               repair_token_budget=args.repair_token_budget,
-                               retrieval=args.retrieval)
+                               repair_token_budget=args.repair_token_budget)
     # The same wire request the HTTP service speaks (repro.api.types).
     request = TranslateRequest(question=args.question, db_id=args.db_id)
     response = api.translate(
@@ -413,10 +412,7 @@ def _cmd_index_build(args) -> int:
 
     train = _load(args.train)
     render.out(f"Indexing {len(train)} demonstrations ...")
-    questions = (
-        [ex.question for ex in train] if args.with_embeddings else None
-    )
-    store = DemoStore.build([ex.sql for ex in train], questions=questions)
+    store = DemoStore.build([ex.sql for ex in train])
     path = store.save(args.out)
     size = path.stat().st_size
     states = ":".join(
@@ -427,11 +423,6 @@ def _cmd_index_build(args) -> int:
         f"demos, end states {states}, pool hash "
         f"{store.manifest.pool_hash[:12]}…"
     )
-    if store.retrieval is not None:
-        render.out(
-            f"Embedded {len(store.retrieval)} demos "
-            f"(dim {store.retrieval.dim}, probes {store.retrieval.probes})"
-        )
     return 0
 
 
@@ -446,19 +437,7 @@ def _cmd_index_verify(args) -> int:
     problems = store.self_check(deep=args.deep)
     if args.train is not None:
         train = _load(args.train)
-        # Only stores that carry an embedding section are held to the
-        # questions hash — a plain store verified with questions on
-        # hand is not stale for lacking one.
-        questions = (
-            [ex.question for ex in train]
-            if store.retrieval is not None
-            else None
-        )
-        problems.extend(
-            store.verify_against(
-                [ex.sql for ex in train], questions=questions
-            )
-        )
+        problems.extend(store.verify_against([ex.sql for ex in train]))
     if problems:
         for problem in problems:
             render.out(f"FAIL {args.store}: {problem}")
@@ -553,14 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
              "is missing or stale",
     )
     e.add_argument(
-        "--retrieval", default="off",
-        choices=["off", "prefilter", "fused"],
-        help="embedding retrieval tier (purple only; docs/retrieval.md): "
-             "off is byte-identical to a build without the tier, "
-             "prefilter caps the automaton candidate set for selection "
-             "speed, fused additionally re-ranks by similarity x rank",
-    )
-    e.add_argument(
         "--repair-rounds", type=int, default=0,
         help="per-task cap on execution-feedback repair rounds for "
              "failing answers (purple only; 0 disables the loop and is "
@@ -600,12 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument(
         "--offline-index", action="store_true",
         help="strict mode: error out instead of rebuilding a stale store",
-    )
-    t.add_argument(
-        "--retrieval", default="off",
-        choices=["off", "prefilter", "fused"],
-        help="embedding retrieval tier (docs/retrieval.md): off is "
-             "byte-identical to a build without the tier",
     )
     t.add_argument(
         "--repair-rounds", type=int, default=0,
@@ -738,13 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ib.add_argument("--train", default="corpus/train.json")
     ib.add_argument("--out", default="corpus/train.demostore")
-    ib.add_argument(
-        "--with-embeddings", action="store_true",
-        help="also build and persist the embedding index over the "
-             "pool's questions + skeletons, enabling `evaluate "
-             "--retrieval prefilter|fused` to warm-start from this "
-             "store (docs/retrieval.md)",
-    )
     ib.set_defaults(func=_cmd_index_build)
 
     iv = ix_sub.add_parser(

@@ -33,9 +33,6 @@ class LevelAutomaton:
     level: int
     _transitions: dict = field(default_factory=dict)  # prefix -> set(next)
     _end_states: dict = field(default_factory=dict)   # sequence -> [demo idx]
-    # Lazily-built frozenset per queried end state (see match_set);
-    # purely a cache, so it never participates in equality or repr.
-    _match_sets: dict = field(default_factory=dict, compare=False, repr=False)
 
     def add(self, tokens: tuple, demo_index: int) -> None:
         """Accept one demonstration's skeleton sequence into the automaton.
@@ -55,7 +52,6 @@ class LevelAutomaton:
             self._transitions.setdefault(sequence[:i], set()).add(sequence[i])
         self._transitions.setdefault(sequence, set()).add(END)
         self._end_states.setdefault(sequence, []).append(demo_index)
-        self._match_sets.pop(sequence, None)
 
     def match(self, tokens: tuple) -> list:
         """Demonstration indices whose state sequence is identical.
@@ -63,23 +59,6 @@ class LevelAutomaton:
         Returns an empty list when the sequence is absent (§IV-C2).
         """
         return list(self._end_states.get(tuple(tokens), []))
-
-    def match_set(self, tokens: tuple) -> frozenset:
-        """Membership view of :meth:`match`, memoized per end state.
-
-        The retrieval pre-filter intersects long match lists with a
-        small candidate set; testing from the candidate side needs set
-        membership, and building a set per query would cost the very
-        scan the filter exists to avoid.  Every demonstration lands on
-        exactly one end state per level, so the cache is bounded by the
-        pool size.  ``add`` invalidates the touched state's entry.
-        """
-        sequence = tuple(tokens)
-        cached = self._match_sets.get(sequence)
-        if cached is None:
-            cached = frozenset(self._end_states.get(sequence, ()))
-            self._match_sets[sequence] = cached
-        return cached
 
     def accepts(self, tokens: tuple) -> bool:
         """Whether the token sequence is an accepted end state."""
@@ -150,18 +129,6 @@ class AutomatonIndex:
         """
         abstracted = abstract_tokens(list(detail_tokens), level)
         return self.levels[level].match(abstracted)
-
-    def match_set(self, level: int, detail_tokens: tuple) -> frozenset:
-        """Frozenset of :meth:`match` results, memoized per end state.
-
-        Same lookup as :meth:`match` but returns a cached immutable set,
-        letting callers intersect a huge match list with a small
-        candidate set from the candidate side in O(candidates) instead
-        of scanning the list (see
-        :func:`repro.core.selection.select_demonstrations`).
-        """
-        abstracted = abstract_tokens(list(detail_tokens), level)
-        return self.levels[level].match_set(abstracted)
 
     def end_state_counts(self) -> dict:
         """Distinct end-state counts per level (the paper reports

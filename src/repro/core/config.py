@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-#: Valid values of :attr:`PurpleConfig.retrieval` (docs/retrieval.md).
-RETRIEVAL_MODES = ("off", "prefilter", "fused")
-
 
 @dataclass
 class PurpleConfig:
@@ -38,23 +35,6 @@ class PurpleConfig:
     # makes a missing/stale store an error instead of a rebuild.
     store_path: Optional[str] = None
     offline_index: bool = False
-    # Retrieval tier (docs/retrieval.md).  "off" — this pipeline is
-    # byte-identical to a build without the tier (no embedding index is
-    # even built); "prefilter" — the embedding index caps the fuzzy
-    # abstraction-level automaton candidate set at
-    # ``retrieval_candidates`` before Algorithm 1 (matches at the two
-    # skeleton-faithful levels always survive);
-    # "fused" — prefilter plus a similarity × rank re-ranking of the
-    # selection.
-    retrieval: str = "off"
-    retrieval_dim: int = 256        # embedding width (hash modulus)
-    # Pre-filter candidate-set size.  The default comes from
-    # benchmarks/bench_retrieval.py's accuracy × latency sweep: the
-    # prompt packer consumes only the head of the selection, so ~100
-    # abstraction-level candidates keep EM/EX/TS at parity with
-    # retrieval=off on the bench corpus while the query stays cheap.
-    retrieval_candidates: int = 96
-    retrieval_probes: int = 8       # coarse buckets probed per query
     p0: int = 1
     generalization: str = "linear-1"  # "linear-N" or "exp-N"
     mask_levels: int = 0        # Figure 12: ignore the first N levels

@@ -18,7 +18,7 @@ from typing import Optional
 from repro.api.registry import register
 from repro.core.adaption import DatabaseAdapter
 from repro.core.automaton import AutomatonIndex
-from repro.core.config import RETRIEVAL_MODES, PurpleConfig
+from repro.core.config import PurpleConfig
 from repro.core.consistency import consistency_vote
 from repro.core.prompt import PromptBuilder
 from repro.core.pruning import SchemaPruner
@@ -55,11 +55,6 @@ class Purple:
     def __init__(self, llm: LLM, config: Optional[PurpleConfig] = None):
         self.llm = llm
         self.config = config or PurpleConfig()
-        if self.config.retrieval not in RETRIEVAL_MODES:
-            raise ValueError(
-                f"unknown retrieval mode {self.config.retrieval!r}; "
-                f"choose from {RETRIEVAL_MODES}"
-            )
         self.name = f"PURPLE({llm.name})"
         self.executor = make_executor(self.config.dialect)
         self.adapter = DatabaseAdapter(
@@ -85,7 +80,6 @@ class Purple:
         self.skeleton_module: Optional[SkeletonPredictionModule] = None
         self.automaton: Optional[AutomatonIndex] = None
         self.store = None  # repro.store.DemoStore on the warm-start path
-        self.retrieval_index = None  # repro.retrieval.EmbeddingIndex
         self.index_stats: dict = {}
         self.prompt_builder: Optional[PromptBuilder] = None
         self.oracle_skeletons: dict = {}
@@ -125,39 +119,19 @@ class Purple:
         once offline (or on first use), loaded without SQL parsing, and
         shared read-only across every worker and pipeline instance in
         the process.  Without it, the index is rebuilt from raw SQL
-        (the original cold path).  When :attr:`PurpleConfig.retrieval`
-        is not ``"off"``, the embedding index of docs/retrieval.md is
-        built (or loaded from the store's retrieval section) alongside;
-        with retrieval off no embedding code runs at all.  Either way
-        ``index_stats`` records what happened so the evaluation harness
-        can surface it.
+        (the original cold path).  Either way ``index_stats`` records
+        what happened so the evaluation harness can surface it.
         """
         cfg = self.config
         demo_sqls = [ex.sql for ex in demo_pool]
-        questions = None
-        if cfg.retrieval != "off":
-            questions = [ex.question for ex in demo_pool]
         started = time.perf_counter()
         if cfg.store_path is not None:
             from repro.store import shared_store
 
             self.store = shared_store(
-                cfg.store_path,
-                demo_sqls,
-                offline=cfg.offline_index,
-                questions=questions,
-                retrieval_config=(
-                    {"dim": cfg.retrieval_dim, "probes": cfg.retrieval_probes}
-                    if questions is not None
-                    else None
-                ),
+                cfg.store_path, demo_sqls, offline=cfg.offline_index
             )
             self.automaton = self.store.index
-            # A store file may carry an embedding section the config
-            # does not ask for; with retrieval off it stays inert so
-            # the pipeline is byte-identical to a pre-retrieval build.
-            if cfg.retrieval != "off":
-                self.retrieval_index = self.store.retrieval
             source = "warm"
         else:
             with obs.span("index.build"):
@@ -166,10 +140,6 @@ class Purple:
             obs.observe(
                 "index.build_ms", (time.perf_counter() - started) * 1000.0
             )
-            if questions is not None:
-                self.retrieval_index = self._build_retrieval(
-                    questions, demo_sqls
-                )
             source = "cold"
         self.index_stats = {
             "source": source,
@@ -177,34 +147,6 @@ class Purple:
             "pool_size": len(demo_sqls),
             "states": self.automaton.end_state_counts(),
         }
-        if self.retrieval_index is not None:
-            self.index_stats["retrieval"] = {
-                "mode": cfg.retrieval,
-                "dim": self.retrieval_index.dim,
-                "probes": self.retrieval_index.probes,
-                "vectors": len(self.retrieval_index),
-            }
-
-    def _build_retrieval(self, questions: list, demo_sqls: list):
-        """Cold-build the embedding index for the retrieval tier."""
-        from repro.retrieval import EmbeddingIndex
-
-        cfg = self.config
-        started = time.perf_counter()
-        with obs.span("retrieval.build"):
-            retrieval = EmbeddingIndex.build(
-                (
-                    (question, tuple(skeleton_tokens(sql)))
-                    for question, sql in zip(questions, demo_sqls)
-                ),
-                dim=cfg.retrieval_dim,
-                probes=cfg.retrieval_probes,
-            )
-        obs.count("retrieval.builds")
-        obs.observe(
-            "retrieval.build_ms", (time.perf_counter() - started) * 1000.0
-        )
-        return retrieval
 
     # -- inference ----------------------------------------------------------------
 
@@ -242,18 +184,13 @@ class Purple:
 
         # Step 3 — demonstration selection.  A request demoted straight
         # to the zero-shot rung never packs demonstrations, so shed
-        # requests skip the retrieval work entirely — that saved compute
+        # requests skip the selection work entirely — that saved compute
         # is the point of demotion.
         with stage("select"):
             if cfg.use_selection and skeletons and min_rung < self.max_demotion:
-                if cfg.retrieval != "off" and self.retrieval_index is not None:
-                    demo_order = self._select_with_retrieval(
-                        task, skeletons, rng
-                    )
-                else:
-                    demo_order = select_demonstrations(
-                        self.automaton, skeletons, cfg, rng=rng
-                    )
+                demo_order = select_demonstrations(
+                    self.automaton, skeletons, cfg, rng=rng
+                )
             else:
                 demo_order = []
 
@@ -393,50 +330,6 @@ class Purple:
             repair_rounds=repair_rounds_used,
             repaired=repaired,
         )
-
-    def _select_with_retrieval(self, task, skeletons, rng) -> list:
-        """Selection with the embedding pre-filter (docs/retrieval.md).
-
-        The embedding index proposes ``retrieval_candidates`` demos
-        near (question, top predicted skeleton) — the recall-only LSH
-        tier, no exact scoring; Algorithm 1 then runs with its
-        abstraction-level matches restricted to that set (the
-        skeleton-faithful levels are exempt — see
-        ``select_demonstrations``).
-        An empty filtered selection falls back to the unfiltered run —
-        the pre-filter may only narrow a non-empty selection, never
-        erase one.  In ``fused`` mode the surviving order is re-ranked
-        by similarity × rank.
-        """
-        cfg = self.config
-        top = skeletons[0]
-        with obs.span("retrieval.select", mode=cfg.retrieval):
-            proposed = self.retrieval_index.candidates(
-                task.question, top.tokens, cfg.retrieval_candidates
-            )
-            obs.count("retrieval.queries")
-            obs.observe("retrieval.candidates", len(proposed))
-            demo_order = select_demonstrations(
-                self.automaton,
-                skeletons,
-                cfg,
-                rng=rng,
-                candidates=frozenset(proposed),
-            )
-            if not demo_order:
-                obs.count("retrieval.fallbacks")
-                demo_order = select_demonstrations(
-                    self.automaton, skeletons, cfg, rng=rng
-                )
-            if cfg.retrieval == "fused" and demo_order:
-                from repro.retrieval import fused_order
-
-                sims = self.retrieval_index.similarities(
-                    task.question, top.tokens, demo_order
-                )
-                demo_order = fused_order(demo_order, sims)
-                obs.count("retrieval.fused_reranks")
-        return demo_order
 
     # -- capabilities (repro.api.explain / repro.api.health) -----------------------
 

@@ -18,15 +18,6 @@ import numpy as np
 from repro.core.automaton import AutomatonIndex
 from repro.core.config import PurpleConfig
 
-#: Minimum match-list length before the retrieval pre-filter engages
-#: on a cell.  Filtering scans the whole list at Python speed (~100ns
-#: per membership check) while an unfiltered cell only pays C-level
-#: ``pop(0)`` churn (~len²/2 element moves at well under 1ns each), so
-#: the filter only pays for itself on long lists — the ones that grow
-#: with pool size.  Short cells stay byte-identical to the unfiltered
-#: run as a bonus.
-PREFILTER_MIN_MATCHES = 512
-
 
 def select_demonstrations(
     index: AutomatonIndex,
@@ -34,7 +25,6 @@ def select_demonstrations(
     config: PurpleConfig,
     rng: Optional[np.random.Generator] = None,
     max_demos: Optional[int] = None,
-    candidates: Optional[frozenset] = None,
 ) -> list:
     """Run Algorithm 1 over the preferential matching matrix ``I``.
 
@@ -53,18 +43,6 @@ def select_demonstrations(
         may be ``None`` when both knobs are off.
     :param max_demos: optional hard cap; selection stops as soon as this
         many demonstrations are chosen.
-    :param candidates: optional demo-index allow-list (the retrieval
-        pre-filter of docs/retrieval.md).  Matches outside it are
-        dropped from abstraction-level cells (levels 3–4) of ``I``
-        longer than :data:`PREFILTER_MIN_MATCHES` before the rounds
-        start.  The two skeleton-faithful levels are exempt — their
-        matches are few and too valuable to lose to an approximate
-        similarity ranking — and short fuzzy cells are exempt on cost
-        grounds (see the constant); the filter targets exactly the
-        match lists that grow with the pool.  Within the surviving
-        matrix the selection order is exactly Algorithm 1's.  ``None``
-        (the default) filters nothing and is byte-identical to the
-        pre-retrieval behaviour.
     :return: demonstration-pool indices in priority order (most relevant
         first, no duplicates).  Indices refer to positions in the pool
         the ``index`` was built from.
@@ -78,24 +56,11 @@ def select_demonstrations(
     levels = [lvl for lvl in (1, 2, 3, 4) if lvl > config.mask_levels]
     # Build the preferential matching sequence I (row-major: level, then
     # skeleton rank).
-    cells = []
-    for level in levels:
-        for skeleton in skeletons:
-            matches = index.match(level, skeleton.tokens)
-            if (
-                candidates is not None
-                and level > 2
-                and len(matches) >= PREFILTER_MIN_MATCHES
-            ):
-                # Intersect from the candidate side: match lists append
-                # pool indices in ascending order, so sorting the
-                # intersection reproduces the order-preserving scan
-                # ``[m for m in matches if m in candidates]`` at
-                # O(candidates) instead of O(matches).
-                members = index.match_set(level, skeleton.tokens)
-                cells.append(sorted(m for m in candidates if m in members))
-            else:
-                cells.append(list(matches))
+    cells = [
+        index.match(level, skeleton.tokens)
+        for level in levels
+        for skeleton in skeletons
+    ]
 
     selected: list = []
     chosen: set = set()

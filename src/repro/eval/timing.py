@@ -18,13 +18,13 @@ the report that determinism tests compare.
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from repro.obs import percentile
 from repro.obs.runtime import end_span as _obs_end_span
 from repro.obs.runtime import start_span as _obs_start_span
 
@@ -103,17 +103,9 @@ class RunTiming:
         return [t.latency for t in self.tasks]
 
     def latency_percentile(self, q: float) -> float:
-        """Nearest-rank percentile (``q`` in [0, 100]) of task latency.
-
-        ``ceil(q/100 * n)`` is the nearest-rank definition: p95 over 100
-        samples is the 95th order statistic, p0 and p100 clamp to the
-        extremes.
-        """
-        values = sorted(self.latencies())
-        if not values:
-            return 0.0
-        rank = max(math.ceil(q / 100.0 * len(values)), 1)
-        return values[min(rank, len(values)) - 1]
+        """Nearest-rank percentile (``q`` in [0, 100]) of task latency
+        (:func:`repro.obs.percentile`)."""
+        return percentile(self.latencies(), q)
 
     def stage_totals(self) -> dict:
         """Total seconds per stage, canonical stages first."""

@@ -48,6 +48,7 @@ from repro.obs.metrics import (
     MetricsSnapshot,
     metric_key,
     parse_metric_key,
+    percentile,
 )
 from repro.obs.prom import parse_prometheus_text, prometheus_text
 from repro.obs.report import render_report
@@ -92,6 +93,7 @@ __all__ = [
     "MetricsSnapshot",
     "metric_key",
     "parse_metric_key",
+    "percentile",
     "LogEvent",
     "StructuredLogger",
     "LOG_LEVELS",

@@ -21,6 +21,7 @@ retaining samples — the continuous serving telemetry
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from threading import Lock
@@ -40,6 +41,22 @@ def metric_key(name: str, labels: dict) -> str:
         return name
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
+
+
+def percentile(values, q: float) -> float:
+    """Nearest-rank percentile (``q`` in [0, 100]) of raw samples.
+
+    ``ceil(q/100 * n)`` is the nearest-rank definition: p95 over 100
+    samples is the 95th order statistic, p0 and p100 clamp to the
+    extremes.  ``values`` may be in any order; an empty input gives 0.
+    Bucketed histograms estimate quantiles by interpolation instead
+    (:meth:`HistogramSummary.quantile`).
+    """
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    rank = max(math.ceil(q / 100.0 * len(ordered)), 1)
+    return ordered[min(rank, len(ordered)) - 1]
 
 
 def parse_metric_key(key: str) -> tuple:

@@ -12,24 +12,14 @@ prints (the CLI routes the returned text through the render module).
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 
 from repro.obs.export import TraceData
-from repro.obs.metrics import MetricsSnapshot
+from repro.obs.metrics import MetricsSnapshot, percentile
 from repro.obs.telemetry import RunTelemetry
 
 _BAR_WIDTH = 28
 _FLAME_DEPTH = 6
-
-
-def _percentile(values: list, q: float) -> float:
-    """Nearest-rank percentile over ``values`` (already in any order)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(math.ceil(q / 100.0 * len(ordered)), 1)
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 def _duration(span: dict) -> float:
@@ -73,8 +63,8 @@ def stage_profile(trace: TraceData) -> list:
                 "count": len(durations),
                 "total_s": round(sum(durations), 4),
                 "mean_ms": round(1000 * sum(durations) / len(durations), 3),
-                "p50_ms": round(1000 * _percentile(durations, 50), 3),
-                "p95_ms": round(1000 * _percentile(durations, 95), 3),
+                "p50_ms": round(1000 * percentile(durations, 50), 3),
+                "p95_ms": round(1000 * percentile(durations, 95), 3),
             }
         )
     return rows
@@ -99,7 +89,7 @@ def hardness_profile(trace: TraceData) -> list:
                 "tasks": len(durations),
                 "total_s": round(sum(durations), 4),
                 "mean_ms": round(1000 * sum(durations) / len(durations), 3),
-                "p95_ms": round(1000 * _percentile(durations, 95), 3),
+                "p95_ms": round(1000 * percentile(durations, 95), 3),
             }
         )
     return rows

@@ -32,42 +32,24 @@ def shared_store(
     demo_sqls,
     build_config: Optional[dict] = None,
     offline: bool = False,
-    questions=None,
-    retrieval_config: Optional[dict] = None,
 ) -> DemoStore:
     """One shared store per (path, pool) for the whole process.
 
-    The identity key includes the pool's content hash, the build config
-    digest, and — when embeddings are requested — the questions hash
-    and retrieval knobs, so a changed pool at the same path is a
-    different entry — never a silently stale hit.  A retrieval-needing
-    caller never receives a cached store without an embedding index
-    (and vice versa): the key's retrieval component differs.
+    The identity key includes the pool's content hash and the build
+    config digest, so a changed pool at the same path is a different
+    entry — never a silently stale hit.
 
     :param path: on-disk location of the store.
     :param demo_sqls: the live demonstration pool.
     :param build_config: identity-bearing build settings.
     :param offline: strict mode, forwarded to :meth:`DemoStore.open`.
-    :param questions: NL questions parallel to ``demo_sqls``; presence
-        requests the embedding index (see docs/retrieval.md).
-    :param retrieval_config: ``{"dim", "probes"}`` the embedding index
-        must match, forwarded to :meth:`DemoStore.open`.
     :return: the shared, read-only store instance.
     """
     demo_sqls = list(demo_sqls)
-    if questions is not None:
-        questions = [str(q) for q in questions]
-        retrieval_key = (
-            pool_hash(questions),
-            config_digest(dict(retrieval_config or {})),
-        )
-    else:
-        retrieval_key = None
     key = (
         str(Path(path).resolve()),
         pool_hash(demo_sqls),
         config_digest(dict(build_config or {})),
-        retrieval_key,
     )
     with _lock:
         cached = _stores.get(key)
@@ -75,12 +57,7 @@ def shared_store(
             obs.count("index.cache_hit")
             return cached
         store = DemoStore.open(
-            path,
-            demo_sqls,
-            build_config=build_config,
-            offline=offline,
-            questions=questions,
-            retrieval_config=retrieval_config,
+            path, demo_sqls, build_config=build_config, offline=offline
         )
         _stores[key] = store
         return store

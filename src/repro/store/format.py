@@ -30,14 +30,13 @@ from pathlib import Path
 MAGIC = b"PRPLDEM\x01"
 
 #: Container layout revision (bump on any byte-layout change).  v2
-#: added the optional ``retrieval`` payload section and manifest block
-#: (docs/retrieval.md); the byte layout is unchanged, so v1 files stay
-#: readable.
+#: containers from earlier builds may carry an embedding-index
+#: ``retrieval`` payload section and manifest block; this build ignores
+#: both.  The byte layout of v1 and v2 is the same.
 FORMAT_VERSION = 2
 
 #: Every format version this build can read.  Writers always emit
-#: :data:`FORMAT_VERSION`; v1 containers (no retrieval section) load as
-#: stores without an embedding index.
+#: :data:`FORMAT_VERSION`; v1 and v2 containers load alike.
 SUPPORTED_FORMAT_VERSIONS = (1, 2)
 
 _U32 = struct.Struct(">I")

@@ -32,13 +32,6 @@ from typing import Optional
 from repro.core.automaton import AutomatonIndex
 from repro.llm.tokenizer import count_tokens
 from repro.obs import runtime as obs
-from repro.retrieval import (
-    DEFAULT_DIM,
-    DEFAULT_PROBES,
-    RETRIEVAL_SCHEMA_VERSION,
-    EmbeddingIndex,
-    embed,
-)
 from repro.sqlkit.abstraction import abstract_tokens
 from repro.sqlkit.hardness import classify_hardness
 from repro.sqlkit.skeleton import skeleton_tokens
@@ -96,10 +89,9 @@ class DemoRecord:
 class StoreManifest:
     """Identity and provenance of one persisted store.
 
-    ``retrieval`` is ``None`` for stores built without an embedding
-    index (and for every v1 container); otherwise it is the block
-    ``{"version", "dim", "probes", "questions_hash", "count"}``
-    documented in docs/retrieval.md.
+    Keys this build does not know — such as the ``retrieval`` block of
+    containers written with an embedding index by earlier builds — are
+    ignored on read and not written back.
     """
 
     pool_hash: str
@@ -109,7 +101,6 @@ class StoreManifest:
     schema_version: int = SKELETON_SCHEMA_VERSION
     format_version: int = FORMAT_VERSION
     state_counts: dict = field(default_factory=dict)  # level(str) -> count
-    retrieval: Optional[dict] = None
 
     def __post_init__(self):
         if not self.config_hash:
@@ -117,7 +108,7 @@ class StoreManifest:
 
     def as_dict(self) -> dict:
         """JSON form written into the container header."""
-        data = {
+        return {
             "format_version": self.format_version,
             "schema_version": self.schema_version,
             "pool_hash": self.pool_hash,
@@ -126,14 +117,10 @@ class StoreManifest:
             "config_hash": self.config_hash,
             "state_counts": {str(k): v for k, v in self.state_counts.items()},
         }
-        if self.retrieval is not None:
-            data["retrieval"] = dict(self.retrieval)
-        return data
 
     @staticmethod
     def from_dict(data: dict) -> "StoreManifest":
         """Reconstruct from :meth:`as_dict` output."""
-        retrieval = data.get("retrieval")
         return StoreManifest(
             pool_hash=data["pool_hash"],
             pool_size=data["pool_size"],
@@ -142,7 +129,6 @@ class StoreManifest:
             schema_version=data.get("schema_version", 0),
             format_version=data.get("format_version", 0),
             state_counts=dict(data.get("state_counts", {})),
-            retrieval=dict(retrieval) if retrieval is not None else None,
         )
 
 
@@ -158,30 +144,17 @@ def _record_for(sql: str) -> DemoRecord:
 
 @dataclass
 class DemoStore:
-    """An indexed demonstration pool with a persistent on-disk form.
-
-    ``retrieval``/``questions`` are populated only when the store was
-    built with the pool's NL questions (``repro index build
-    --with-embeddings``); they carry the embedding index the pipeline's
-    retrieval pre-filter queries (docs/retrieval.md).
-    """
+    """An indexed demonstration pool with a persistent on-disk form."""
 
     manifest: StoreManifest
     index: AutomatonIndex
     demos: list = field(default_factory=list)  # list[DemoRecord]
     path: Optional[Path] = None
-    retrieval: Optional[EmbeddingIndex] = None
-    questions: Optional[list] = None  # list[str], parallel to demos
 
     # -- construction ----------------------------------------------------------
 
     @staticmethod
-    def build(
-        demo_sqls,
-        build_config: Optional[dict] = None,
-        questions=None,
-        retrieval_config: Optional[dict] = None,
-    ) -> "DemoStore":
+    def build(demo_sqls, build_config: Optional[dict] = None) -> "DemoStore":
         """Index a pool from raw SQL — the offline/cold build.
 
         Each demonstration is parsed exactly once; its detail skeleton,
@@ -191,12 +164,6 @@ class DemoStore:
         :param demo_sqls: gold SQL strings in pool order.
         :param build_config: free-form dict folded into the manifest
             identity (e.g. the abstraction settings a deployment pins).
-        :param questions: the pool's NL questions, parallel to
-            ``demo_sqls``; when given, an embedding index is built and
-            persisted alongside the automaton.
-        :param retrieval_config: ``{"dim", "probes"}`` overrides for
-            the embedding index (defaults otherwise); ignored without
-            ``questions``.
         :return: the built, not-yet-saved store.
         """
         started = time.perf_counter()
@@ -210,56 +177,23 @@ class DemoStore:
                 state_counts=index.end_state_counts(),
             )
             store = DemoStore(manifest=manifest, index=index, demos=demos)
-            if questions is not None:
-                questions = [str(q) for q in questions]
-                if len(questions) != len(demos):
-                    raise ValueError(
-                        f"{len(questions)} questions for {len(demos)} "
-                        f"demonstrations; the lists must be parallel"
-                    )
-                knobs = dict(retrieval_config or {})
-                retrieval = EmbeddingIndex(
-                    dim=int(knobs.get("dim", DEFAULT_DIM)),
-                    probes=int(knobs.get("probes", DEFAULT_PROBES)),
-                )
-                for question, record in zip(questions, demos):
-                    retrieval.add(question, record.skeleton)
-                store.retrieval = retrieval
-                store.questions = questions
-                manifest.retrieval = {
-                    "version": RETRIEVAL_SCHEMA_VERSION,
-                    "dim": retrieval.dim,
-                    "probes": retrieval.probes,
-                    "questions_hash": pool_hash(questions),
-                    "count": len(retrieval),
-                }
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         obs.count("index.builds")
         obs.observe("index.build_ms", elapsed_ms)
         _publish_state_gauges(manifest)
         return store
 
-    def add(self, sql: str, question: Optional[str] = None) -> int:
+    def add(self, sql: str) -> int:
         """Incrementally append one demonstration — equals a full rebuild.
 
         Parses only the new SQL, feeds all four level automatons, and
-        extends the manifest's chained pool hash in O(1).  When the
-        store carries an embedding index, the demonstration's question
-        is embedded and the manifest's chained questions hash extends
-        the same way.  The in-memory result (and a subsequent
-        :meth:`save`) is identical to rebuilding the store from the
-        extended pool.
+        extends the manifest's chained pool hash in O(1).  The in-memory
+        result (and a subsequent :meth:`save`) is identical to
+        rebuilding the store from the extended pool.
 
         :param sql: the appended demonstration's gold SQL.
-        :param question: its NL question — required when the store has
-            an embedding index, ignored otherwise.
         :return: the new demonstration's pool index.
         """
-        if self.retrieval is not None and question is None:
-            raise ValueError(
-                "store carries an embedding index; add() needs the "
-                "demonstration's question to keep incremental parity"
-            )
         record = _record_for(sql)
         demo_index = len(self.demos)
         self.demos.append(record)
@@ -272,15 +206,6 @@ class DemoStore:
         )
         self.manifest.pool_size = len(self.demos)
         self.manifest.state_counts = self.index.end_state_counts()
-        if self.retrieval is not None:
-            question = str(question)
-            self.retrieval.add(question, record.skeleton)
-            self.questions.append(question)
-            block = self.manifest.retrieval
-            block["questions_hash"] = extend_pool_hash(
-                block["questions_hash"], question
-            )
-            block["count"] = len(self.retrieval)
         return demo_index
 
     # -- persistence -----------------------------------------------------------
@@ -289,10 +214,6 @@ class DemoStore:
         """Serialize to the single-file container; returns the path."""
         path = Path(path)
         payload = {"demos": [d.as_row() for d in self.demos]}
-        if self.retrieval is not None:
-            payload["retrieval"] = dict(
-                self.retrieval.as_payload(), questions=list(self.questions)
-            )
         write_store(path, self.manifest.as_dict(), payload)
         self.path = path
         return path
@@ -304,6 +225,8 @@ class DemoStore:
         The four level automatons are reconstructed from the stored
         detail skeletons (token-list abstraction and trie insertion
         only), so loading is independent of SQL text complexity.
+        Payload sections other than ``demos`` (the embedding section of
+        containers written by earlier builds) are ignored.
 
         :param path: a file written by :meth:`save`.
         :return: the loaded store.
@@ -330,10 +253,6 @@ class DemoStore:
             store = DemoStore(
                 manifest=manifest, index=index, demos=demos, path=Path(path)
             )
-            if manifest.retrieval is not None:
-                store.retrieval, store.questions = _load_retrieval(
-                    manifest, payload
-                )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         obs.count("index.loads")
         obs.observe("index.load_ms", elapsed_ms)
@@ -348,8 +267,6 @@ class DemoStore:
         demo_sqls,
         build_config: Optional[dict] = None,
         offline: bool = False,
-        questions=None,
-        retrieval_config: Optional[dict] = None,
     ) -> "DemoStore":
         """Open a store for a live pool, with staleness detection.
 
@@ -359,13 +276,7 @@ class DemoStore:
           mode raises :exc:`StaleStoreError` instead);
         * manifest pool-hash/config/schema mismatch, or a corrupt file
           → rebuild and overwrite (offline mode raises);
-        * ``questions`` provided but the store has no retrieval
-          section, or its questions hash / embedding schema version /
-          dim / probes diverge from what the caller needs → rebuild
-          with embeddings (offline mode raises);
         * manifest matches → load and reuse (``index.cache_hit``).
-          A store *with* a retrieval section opened without
-          ``questions`` still loads — the extra section is inert.
 
         :param path: where the store lives (created when absent).
         :param demo_sqls: the live pool the index must correspond to.
@@ -373,19 +284,12 @@ class DemoStore:
         :param offline: strict mode — never build, error on any
             mismatch; for deployments where index builds are a
             controlled offline step.
-        :param questions: the live pool's NL questions, parallel to
-            ``demo_sqls``; presence means "this caller needs the
-            embedding index".
-        :param retrieval_config: ``{"dim", "probes"}`` the embedding
-            index must have been built with.
         :return: a fresh store for exactly ``demo_sqls``.
         """
         path = Path(path)
         demo_sqls = list(demo_sqls)
         expected_hash = pool_hash(demo_sqls)
         expected_config = config_digest(dict(build_config or {}))
-        if questions is not None:
-            questions = [str(q) for q in questions]
 
         def _rebuild(reason: str) -> "DemoStore":
             if offline:
@@ -395,12 +299,7 @@ class DemoStore:
                 )
             obs.count("index.rebuilds")
             obs.event("index.rebuild", reason=reason, path=str(path))
-            store = DemoStore.build(
-                demo_sqls,
-                build_config=build_config,
-                questions=questions,
-                retrieval_config=retrieval_config,
-            )
+            store = DemoStore.build(demo_sqls, build_config=build_config)
             store.save(path)
             return store
 
@@ -419,12 +318,6 @@ class DemoStore:
             return _rebuild("pool content hash mismatch")
         if manifest.config_hash != expected_config:
             return _rebuild("build config mismatch")
-        if questions is not None:
-            reason = _retrieval_staleness(
-                manifest.retrieval, questions, retrieval_config
-            )
-            if reason is not None:
-                return _rebuild(reason)
         try:
             store = DemoStore.load(path)
         except (CorruptStoreError, StoreVersionError) as exc:
@@ -434,13 +327,10 @@ class DemoStore:
 
     # -- verification ----------------------------------------------------------
 
-    def verify_against(self, demo_sqls, questions=None) -> list:
+    def verify_against(self, demo_sqls) -> list:
         """Mismatches between this store and a live pool (empty = fresh).
 
         :param demo_sqls: the live pool's gold SQL strings.
-        :param questions: the live pool's NL questions; when given, the
-            retrieval section's presence and questions hash are checked
-            too.
         """
         problems = []
         live = list(demo_sqls)
@@ -455,25 +345,16 @@ class DemoStore:
                 f"pool size mismatch: store {self.manifest.pool_size}, "
                 f"live pool {len(live)}"
             )
-        if questions is not None:
-            reason = _retrieval_staleness(
-                self.manifest.retrieval, [str(q) for q in questions], None
-            )
-            if reason is not None:
-                problems.append(reason)
         return problems
 
     def self_check(self, deep: bool = False) -> list:
         """Internal-consistency problems (empty = healthy).
 
         Always recomputes the chained pool hash from the embedded SQL
-        and the per-level state counts, plus — when a retrieval section
-        is present — its count and chained questions hash.
-        ``deep=True`` additionally re-parses every embedded SQL and
-        compares the stored skeletons against a fresh
-        :func:`skeleton_tokens` run, and re-embeds every stored
-        question against the persisted vectors — the full schema-drift
-        check.
+        and the per-level state counts.  ``deep=True`` additionally
+        re-parses every embedded SQL and compares the stored skeletons
+        against a fresh :func:`skeleton_tokens` run — the full
+        schema-drift check.
         """
         problems = []
         recomputed = EMPTY_POOL_HASH
@@ -495,23 +376,6 @@ class DemoStore:
                 f"state counts diverge: index {counts}, "
                 f"manifest {manifest_counts}"
             )
-        if self.retrieval is not None:
-            block = self.manifest.retrieval or {}
-            if len(self.retrieval) != len(self.demos):
-                problems.append(
-                    f"embedding index holds {len(self.retrieval)} vectors "
-                    f"for {len(self.demos)} demonstrations"
-                )
-            if block.get("count") != len(self.retrieval):
-                problems.append(
-                    f"manifest retrieval count {block.get('count')} != "
-                    f"index size {len(self.retrieval)}"
-                )
-            if block.get("questions_hash") != pool_hash(self.questions or []):
-                problems.append(
-                    "embedded questions do not reproduce the manifest "
-                    "questions hash"
-                )
         if deep:
             for i, record in enumerate(self.demos):
                 fresh = tuple(skeleton_tokens(record.sql))
@@ -520,95 +384,7 @@ class DemoStore:
                         f"demo {i}: stored skeleton diverges from the "
                         f"current skeletonizer (schema drift?)"
                     )
-            if self.retrieval is not None:
-                for i, (question, record) in enumerate(
-                    zip(self.questions or [], self.demos)
-                ):
-                    fresh_vec = embed(
-                        question, record.skeleton, dim=self.retrieval.dim
-                    )
-                    if fresh_vec != self.retrieval.vector(i):
-                        problems.append(
-                            f"demo {i}: stored embedding diverges from "
-                            f"the current embedder (schema drift?)"
-                        )
         return problems
-
-
-def _load_retrieval(manifest: StoreManifest, payload: dict) -> tuple:
-    """Decode the ``retrieval`` payload section against its manifest block.
-
-    :return: ``(EmbeddingIndex, questions)``.
-    :raises CorruptStoreError: section missing or internally inconsistent.
-    :raises StoreVersionError: embedding schema version mismatch.
-    """
-    block = manifest.retrieval
-    if block.get("version") != RETRIEVAL_SCHEMA_VERSION:
-        raise StoreVersionError(
-            f"store embedding schema v{block.get('version')!r}; "
-            f"this build uses v{RETRIEVAL_SCHEMA_VERSION}"
-        )
-    section = payload.get("retrieval")
-    if section is None:
-        raise CorruptStoreError(
-            "manifest announces a retrieval section the payload lacks"
-        )
-    try:
-        retrieval = EmbeddingIndex.from_payload(section)
-        questions = [str(q) for q in section["questions"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptStoreError(
-            f"retrieval section does not decode: {exc!r}"
-        ) from exc
-    if len(retrieval) != block.get("count") or len(questions) != len(
-        retrieval
-    ):
-        raise CorruptStoreError(
-            f"retrieval section size mismatch: manifest count "
-            f"{block.get('count')}, {len(retrieval)} vectors, "
-            f"{len(questions)} questions"
-        )
-    if len(retrieval) != manifest.pool_size:
-        raise CorruptStoreError(
-            f"retrieval section covers {len(retrieval)} demos, "
-            f"pool has {manifest.pool_size}"
-        )
-    return retrieval, questions
-
-
-def _retrieval_staleness(
-    block: Optional[dict], questions: list, retrieval_config: Optional[dict]
-) -> Optional[str]:
-    """Why a store's retrieval section cannot serve a live pool.
-
-    :param block: the manifest's ``retrieval`` block (``None`` when
-        the store has no embedding index).
-    :param questions: the live pool's NL questions.
-    :param retrieval_config: required ``{"dim", "probes"}``, or
-        ``None`` to accept whatever the store was built with.
-    :return: a human-readable staleness reason, or ``None`` when the
-        section is usable.
-    """
-    if block is None:
-        return "retrieval section missing"
-    if block.get("version") != RETRIEVAL_SCHEMA_VERSION:
-        return (
-            f"embedding schema v{block.get('version')!r} != "
-            f"v{RETRIEVAL_SCHEMA_VERSION}"
-        )
-    if block.get("questions_hash") != pool_hash(questions):
-        return "questions content hash mismatch"
-    knobs = dict(retrieval_config or {})
-    if "dim" in knobs and block.get("dim") != int(knobs["dim"]):
-        return (
-            f"embedding dim {block.get('dim')} != requested {knobs['dim']}"
-        )
-    if "probes" in knobs and block.get("probes") != int(knobs["probes"]):
-        return (
-            f"probe count {block.get('probes')} != requested "
-            f"{knobs['probes']}"
-        )
-    return None
 
 
 def _publish_state_gauges(manifest: StoreManifest) -> None:

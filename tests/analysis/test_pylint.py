@@ -141,7 +141,7 @@ class TestMissingDocstringRule:
         source = "def bare():\n    return 1\n"
         assert self.run_scoped(tmp_path / "a", source, subdir="repro/llm") == []
         for i, subdir in enumerate(
-            ("repro/core", "repro/store", "repro/retrieval", "repro/eval")
+            ("repro/core", "repro/store", "repro/eval")
         ):
             base = tmp_path / str(i)  # fresh tree per root under test
             assert len(self.run_scoped(base, source, subdir=subdir)) == 1

@@ -1,7 +1,5 @@
 """The repro.api facade: registry, Translator protocol, shared defaults."""
 
-import warnings
-
 import pytest
 
 from repro import api
@@ -76,43 +74,6 @@ class TestRegistry:
             == defaults.DEFAULT_DAIL_CONSISTENCY_N
         )
         assert api.create("plm").seed == defaults.DEFAULT_SEED
-
-
-class TestDeprecationShims:
-    def test_positional_config_warns_and_maps(self, train_set):
-        from repro.baselines import DAILSQL, FewShotRandom
-
-        llm = MockLLM(GPT4, seed=1)
-        with pytest.warns(DeprecationWarning, match="demo_pool"):
-            few = FewShotRandom(llm, train_set, 512, 3)
-        assert few.budget == 512 and few.seed == 3
-        assert few.prompt_builder is not None
-        with pytest.warns(DeprecationWarning):
-            dail = DAILSQL(llm, train_set, 2048)
-        assert dail.budget == 2048
-        assert dail.consistency_n == defaults.DEFAULT_DAIL_CONSISTENCY_N
-
-    def test_keyword_calls_do_not_warn(self, train_set):
-        from repro.baselines import FewShotRandom
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            FewShotRandom(
-                MockLLM(GPT4, seed=1), demo_pool=train_set, budget=512
-            )
-
-    def test_too_many_positionals_is_a_type_error(self):
-        from repro.baselines import ZeroShotSQL
-
-        with pytest.raises(TypeError, match="at most 1"):
-            ZeroShotSQL(MockLLM(GPT4, seed=1), 2, 3)
-
-    def test_plm_first_positional_is_demo_pool(self, train_set):
-        from repro.baselines import PLMSeq2SQL
-
-        with pytest.warns(DeprecationWarning, match="demo_pool"):
-            plm = PLMSeq2SQL(train_set)
-        assert plm.pruner is not None
 
 
 class TestTranslatorProtocol:

@@ -1,4 +1,4 @@
-"""The versioned wire contract (repro.api.types) and its compat shims."""
+"""The versioned wire contract (repro.api.types) and its entry point."""
 
 import pytest
 
@@ -105,46 +105,20 @@ class TestStrictness:
             ExecuteRequest(sql="", db_id="d")
 
 
-class TestCompatShims:
-    def test_legacy_task_coerces_with_warning(self):
-        from repro.api.compat import coerce_request
+class TestTranslateEntryPoint:
+    """``repro.api.translate`` takes the wire request and nothing else."""
+
+    @pytest.mark.parametrize("kind", ["engine-task", "dict", "string"])
+    def test_non_request_rejected_with_type_error(self, kind):
+        from repro import api
         from repro.eval.harness import TranslationTask
         from repro.schema import Database, Schema
 
         database = Database(schema=Schema(db_id="d"))
-        task = TranslationTask(question="q", database=database)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            request = coerce_request(task)
-        assert request == TranslateRequest(question="q", db_id="d")
-
-    def test_wire_request_passes_through_silently(self):
-        import warnings
-
-        from repro.api.compat import coerce_request
-
-        request = TranslateRequest(question="q", db_id="d")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert coerce_request(request) is request
-
-    def test_garbage_rejected_with_type_error(self):
-        from repro.api.compat import coerce_request
-
+        request = {
+            "engine-task": TranslationTask(question="q", database=database),
+            "dict": {"question": "q", "db_id": "d"},
+            "string": "q",
+        }[kind]
         with pytest.raises(TypeError, match="TranslateRequest"):
-            coerce_request(42)
-
-    def test_result_from_response_preserves_record(self):
-        from repro.api.compat import result_from_response
-
-        response = TranslateResponse(
-            sql="SELECT 1", prompt_tokens=10, output_tokens=2,
-            degradation_level=1, retries=3, best_effort=False,
-            repair_rounds=2, repaired=True,
-        )
-        with pytest.warns(DeprecationWarning):
-            result = result_from_response(response)
-        assert result.sql == "SELECT 1"
-        assert result.usage.prompt_tokens == 10
-        assert result.degradation_level == 1
-        assert result.retries == 3
-        assert result.repaired is True
+            api.translate(object(), request, database=database)

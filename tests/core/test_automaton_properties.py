@@ -29,7 +29,7 @@ class TestAutomatonProperties:
             for level in (1, 2, 3, 4):
                 assert i in index.match(level, tokens), (sql, level)
 
-    def test_match_sets_grow_with_abstraction(self, corpus_index):
+    def test_matches_grow_with_abstraction(self, corpus_index):
         index, sqls = corpus_index
         for sql in sqls[:40]:
             tokens = skeleton_tokens(sql)

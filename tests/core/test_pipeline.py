@@ -1,10 +1,12 @@
 """End-to-end tests for the PURPLE pipeline."""
 
+import hashlib
+
 import pytest
 
 from repro.core import Purple, PurpleConfig
 from repro.eval import TranslationTask, evaluate_approach
-from repro.llm import CHATGPT, MockLLM
+from repro.llm import CHATGPT, GPT4, MockLLM
 from repro.llm.profiles import LLMProfile
 
 ORACLE_LLM = LLMProfile(
@@ -123,3 +125,33 @@ class TestPipeline:
         )
         assert result.sql
         pipeline.close()
+
+
+#: sha256 over PURPLE's (GPT4 profile, default config) output on the first
+#: 12 fixture dev tasks: each task's translated SQL and the indices of the
+#: demonstrations ``explain`` reports.  Any change to pruning, skeleton
+#: prediction, Algorithm-1 selection, prompt packing, adaption or voting
+#: moves it.
+OUTPUT_PIN = (
+    "810c6403a35e311009bf3f35871f83f818497b6aea8b03f709eb608cfac22cd5"
+)
+
+
+def test_default_output_is_pinned(train_set, dev_set):
+    pipeline = Purple(MockLLM(GPT4)).fit(train_set)
+    digest = hashlib.sha256()
+    try:
+        for ex in dev_set.examples[:12]:
+            task = TranslationTask(
+                question=ex.question, database=dev_set.database(ex.db_id)
+            )
+            indices = [
+                d["index"] for d in pipeline.explain(task)["demonstrations"]
+            ]
+            digest.update(pipeline.translate(task).sql.encode())
+            digest.update(b"\0")
+            digest.update(",".join(map(str, indices)).encode())
+            digest.update(b"\n")
+    finally:
+        pipeline.close()
+    assert digest.hexdigest() == OUTPUT_PIN

@@ -84,75 +84,6 @@ class TestSelection:
         assert order  # fuzzification found something
 
 
-class TestCandidatesFilter:
-    @pytest.fixture(autouse=True)
-    def engage_filter(self, monkeypatch):
-        # The unit pool's match lists are tiny; drop the cost threshold
-        # so the filter actually engages (production keeps it at 512).
-        import repro.core.selection as selection
-
-        monkeypatch.setattr(selection, "PREFILTER_MIN_MATCHES", 0)
-
-    def test_short_cells_exempt_at_production_threshold(
-        self, index, monkeypatch
-    ):
-        import repro.core.selection as selection
-
-        monkeypatch.setattr(selection, "PREFILTER_MIN_MATCHES", 512)
-        preds = predicted("SELECT x FROM y WHERE z > 1")
-        baseline = select_demonstrations(index, preds, PurpleConfig())
-        filtered = select_demonstrations(
-            index, preds, PurpleConfig(), candidates=frozenset()
-        )
-        assert filtered == baseline
-
-    def test_none_is_byte_identical_to_unfiltered(self, index):
-        preds = predicted("SELECT x FROM y WHERE z > 1")
-        baseline = select_demonstrations(index, preds, PurpleConfig())
-        assert select_demonstrations(
-            index, preds, PurpleConfig(), candidates=None
-        ) == baseline
-
-    def test_full_candidate_set_changes_nothing(self, index):
-        preds = predicted("SELECT x FROM y WHERE z > 1")
-        baseline = select_demonstrations(index, preds, PurpleConfig())
-        filtered = select_demonstrations(
-            index, preds, PurpleConfig(),
-            candidates=frozenset(range(len(DEMOS))),
-        )
-        assert filtered == baseline
-
-    def test_filter_drops_coarse_level_matches(self, index):
-        # Demo 2 matches only above the detail level; excluding it from
-        # the candidate set removes it from the selection.
-        preds = predicted("SELECT x FROM y WHERE z > 1")
-        baseline = select_demonstrations(index, preds, PurpleConfig())
-        assert 2 in baseline
-        filtered = select_demonstrations(
-            index, preds, PurpleConfig(),
-            candidates=frozenset(set(baseline) - {2}),
-        )
-        assert 2 not in filtered
-
-    def test_detail_matches_survive_any_filter(self, index):
-        # Demos 1 and 3 match at the detail level — the pre-filter's
-        # approximate ranking is never allowed to drop them.
-        preds = predicted("SELECT x FROM y WHERE z > 1")
-        filtered = select_demonstrations(
-            index, preds, PurpleConfig(), candidates=frozenset()
-        )
-        assert set(filtered) == {1, 3}
-
-    def test_filter_never_grows_the_selection(self, index):
-        preds = predicted("SELECT x FROM y WHERE z > 1")
-        baseline = select_demonstrations(index, preds, PurpleConfig())
-        filtered = select_demonstrations(
-            index, preds, PurpleConfig(),
-            candidates=frozenset(baseline[::2]),
-        )
-        assert set(filtered) <= set(baseline)
-
-
 class TestNoiseKnobs:
     def test_mask_levels_ignores_detail(self, index):
         config = PurpleConfig(mask_levels=3)

@@ -418,116 +418,6 @@ class TestIndexCommands:
             ])
 
 
-class TestRetrievalCommands:
-    @pytest.fixture(scope="class")
-    def embedded_store(self, corpus_dir, tmp_path_factory):
-        path = tmp_path_factory.mktemp("stores") / "emb.demostore"
-        code = main([
-            "index", "build",
-            "--train", str(corpus_dir / "train.json"),
-            "--out", str(path),
-            "--with-embeddings",
-        ])
-        assert code == 0
-        return path
-
-    def test_build_with_embeddings_announces_index(
-        self, corpus_dir, tmp_path, capsys
-    ):
-        path = tmp_path / "emb.demostore"
-        code = main([
-            "index", "build",
-            "--train", str(corpus_dir / "train.json"),
-            "--out", str(path),
-            "--with-embeddings",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Embedded" in out and "dim 256" in out
-
-    def test_embedded_store_has_retrieval_manifest(self, embedded_store):
-        from repro.store import read_manifest
-
-        block = read_manifest(embedded_store)["retrieval"]
-        assert block["count"] == 8 * 11
-
-    def test_evaluate_retrieval_modes_run(self, corpus_dir, capsys):
-        for mode in ("off", "prefilter", "fused"):
-            code = main([
-                "evaluate",
-                "--train", str(corpus_dir / "train.json"),
-                "--dev", str(corpus_dir / "dev.json"),
-                "--approach", "purple",
-                "--consistency", "2",
-                "--limit", "4",
-                "--retrieval", mode,
-            ])
-            assert code == 0
-            assert "EM " in capsys.readouterr().out
-
-    def test_evaluate_off_matches_default_exactly(self, corpus_dir, capsys):
-        args = [
-            "evaluate",
-            "--train", str(corpus_dir / "train.json"),
-            "--dev", str(corpus_dir / "dev.json"),
-            "--approach", "purple",
-            "--consistency", "2",
-            "--limit", "6",
-        ]
-        assert main(args) == 0
-        default = capsys.readouterr().out
-        assert main(args + ["--retrieval", "off"]) == 0
-        explicit = capsys.readouterr().out
-
-        def result_line(text):
-            return next(l for l in text.splitlines() if "EM " in l)
-
-        assert result_line(default) == result_line(explicit)
-
-    def test_evaluate_warm_retrieval_offline(
-        self, corpus_dir, embedded_store, capsys
-    ):
-        from repro.store import clear_shared_stores
-
-        clear_shared_stores()
-        code = main([
-            "evaluate",
-            "--train", str(corpus_dir / "train.json"),
-            "--dev", str(corpus_dir / "dev.json"),
-            "--approach", "purple",
-            "--consistency", "2",
-            "--limit", "4",
-            "--retrieval", "prefilter",
-            "--store", str(embedded_store),
-            "--offline-index",
-        ])
-        clear_shared_stores()
-        assert code == 0
-        assert "EM " in capsys.readouterr().out
-
-    def test_retrieval_flag_requires_purple(self, corpus_dir):
-        with pytest.raises(SystemExit, match="purple"):
-            main([
-                "evaluate",
-                "--train", str(corpus_dir / "train.json"),
-                "--dev", str(corpus_dir / "dev.json"),
-                "--approach", "zero",
-                "--retrieval", "prefilter",
-            ])
-
-    def test_verify_embedded_store_deep(
-        self, corpus_dir, embedded_store, capsys
-    ):
-        code = main([
-            "index", "verify",
-            "--store", str(embedded_store),
-            "--train", str(corpus_dir / "train.json"),
-            "--deep",
-        ])
-        assert code == 0
-        assert "ok" in capsys.readouterr().out
-
-
 class TestTranslate:
     def test_translate_prints_sql(self, corpus_dir, capsys):
         from repro.spider import Dataset
@@ -542,25 +432,6 @@ class TestTranslate:
                 "--train", str(corpus_dir / "train.json"),
                 "--dev", str(corpus_dir / "dev.json"),
                 "--consistency", "2",
-            ]
-        )
-        assert code == 0
-        assert capsys.readouterr().out.strip().upper().startswith("SELECT")
-
-    def test_translate_accepts_retrieval_mode(self, corpus_dir, capsys):
-        from repro.spider import Dataset
-
-        dev = Dataset.load(corpus_dir / "dev.json")
-        db_id = dev.db_ids()[0]
-        code = main(
-            [
-                "translate",
-                "How many hospitals are there?",
-                "--db-id", db_id,
-                "--train", str(corpus_dir / "train.json"),
-                "--dev", str(corpus_dir / "dev.json"),
-                "--consistency", "2",
-                "--retrieval", "prefilter",
             ]
         )
         assert code == 0
