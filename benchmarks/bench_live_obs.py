@@ -1,7 +1,7 @@
 """Overhead of the continuous-telemetry layer on the serve path.
 
 Two identically-provisioned serving stacks run the same closed-loop
-load (pattern from :mod:`benchmarks.bench_serve`): a **baseline** with
+load (8 clients on keep-alive connections): a **baseline** with
 the PR 7 wiring (observer only) and a **live** stack with the full
 :class:`~repro.obs.live.LiveTelemetry` layer — windowed metrics, cost
 ledger, SLO tracking, and tail-based trace capture with lane pruning.
@@ -22,7 +22,6 @@ from http.client import HTTPConnection
 
 import pytest
 
-from benchmarks.bench_serve import fire
 from benchmarks.common import print_table
 from benchmarks.conftest import LLM_SEED
 from repro import api
@@ -87,6 +86,22 @@ def build_stack(bench, with_live):
     )
     server = ReproServer(service, port=0).start()
     return server, service
+
+
+def fire(conn, example):
+    """One translate round-trip; returns (latency_s, status)."""
+    body = json.dumps({
+        "question": example.question, "db_id": example.db_id,
+        "tenant": "bench",
+    })
+    started = time.perf_counter()
+    conn.request(
+        "POST", "/v1/translate", body,
+        {"Content-Type": "application/json"},
+    )
+    response = conn.getresponse()
+    response.read()
+    return time.perf_counter() - started, response.status
 
 
 def run_closed_loop(server, examples):

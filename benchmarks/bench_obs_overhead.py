@@ -1,7 +1,7 @@
 """Overhead of the observability layer — not a paper table.
 
-The 200-task throughput workload (simulated provider latency, 4
-workers) runs once bare and once fully traced (spans, metrics, events
+A 200-task zero-shot workload (30 ± 10 ms simulated provider latency,
+4 workers) runs once bare and once fully traced (spans, metrics, events
 collected); measured: wall-clock delta, spans per task, trace volume.
 
 Target (ISSUE): tracing adds <5% wall-clock on this workload.  The
@@ -17,7 +17,7 @@ from benchmarks.common import pct, print_table
 from benchmarks.conftest import LLM_SEED
 from repro import api
 from repro.eval import evaluate_approach
-from repro.llm import CHATGPT, CoalescingLLM, MockLLM, SimulatedLatencyLLM
+from repro.llm import CHATGPT, MockLLM, SimulatedLatencyLLM
 from repro.obs import Observer
 
 SUBSET = 200
@@ -36,7 +36,7 @@ def make_approach():
         jitter=JITTER,
         seed=LLM_SEED,
     )
-    return api.create("zero", llm=CoalescingLLM(llm))
+    return api.create("zero", llm=llm)
 
 
 def run(corpus, observer=None):

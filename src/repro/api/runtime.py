@@ -23,30 +23,11 @@ class RuntimeConfigError(ValueError):
     """A run was configured inconsistently (bad approach/knob pairing)."""
 
 
-def make_llm(llm_name: str, cache_dir=None, latency: Optional[dict] = None):
-    """The provider stack: mock LLM, optional latency, optional cache.
-
-    ``latency`` (``{"base": s, "jitter": s, "seed": n}``) wraps the
-    provider in :class:`~repro.llm.latency.SimulatedLatencyLLM` — the
-    serving benchmarks use it so measured qps reflects network-bound
-    round-trips, not instant mock completions.
-    """
-    from repro.llm import (
-        CachingLLM,
-        MockLLM,
-        PromptCache,
-        SimulatedLatencyLLM,
-        profile_by_name,
-    )
+def make_llm(llm_name: str, cache_dir=None):
+    """The provider stack: mock LLM, optionally behind the prompt cache."""
+    from repro.llm import CachingLLM, MockLLM, PromptCache, profile_by_name
 
     llm = MockLLM(profile_by_name(llm_name))
-    if latency:
-        llm = SimulatedLatencyLLM(
-            llm,
-            base=latency.get("base", 0.03),
-            jitter=latency.get("jitter", 0.0),
-            seed=latency.get("seed", 0),
-        )
     if cache_dir is not None:
         llm = CachingLLM(llm, cache=PromptCache(cache_dir=cache_dir))
     return llm

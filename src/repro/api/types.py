@@ -66,6 +66,16 @@ def _from_json(cls, text):
     return _from_dict(cls, data)
 
 
+def _check_routing(request) -> None:
+    """``tenant``/``request_id`` key dicts and trace lookups downstream:
+    reject anything but strings here, at the boundary."""
+    name = type(request).__name__
+    if not isinstance(request.tenant, str) or not request.tenant:
+        raise WireFormatError(f"{name}: tenant must be a non-empty string")
+    if not isinstance(request.request_id, str):
+        raise WireFormatError(f"{name}: request_id must be a string")
+
+
 class _WireMixin:
     """``to_dict``/``to_json`` plus the strict ``from_*`` constructors."""
 
@@ -110,6 +120,7 @@ class TranslateRequest(_WireMixin):
         if not isinstance(self.db_id, str) or not self.db_id:
             raise WireFormatError("TranslateRequest: db_id must be a "
                                   "non-empty string")
+        _check_routing(self)
 
 
 @dataclass(frozen=True)
@@ -203,6 +214,7 @@ class ExecuteRequest(_WireMixin):
         if not isinstance(self.db_id, str) or not self.db_id:
             raise WireFormatError("ExecuteRequest: db_id must be a "
                                   "non-empty string")
+        _check_routing(self)
 
 
 @dataclass(frozen=True)

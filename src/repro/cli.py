@@ -70,13 +70,6 @@ def _load(path: str) -> Dataset:
     return Dataset.load(path)
 
 
-def _make_llm(llm_name: str, cache_dir=None):
-    """The provider stack (see :func:`repro.api.runtime.make_llm`)."""
-    from repro.api.runtime import make_llm
-
-    return make_llm(llm_name, cache_dir=cache_dir)
-
-
 def _build_approach(name: str, llm, train: Dataset, budget: int,
                     consistency: int, store=None, offline_index=False,
                     repair_rounds=0, repair_token_budget=None,
@@ -126,7 +119,7 @@ def _cmd_evaluate(args) -> int:
     )
     from contextlib import nullcontext
 
-    from repro.api.runtime import export_trace
+    from repro.api.runtime import export_trace, make_llm
 
     train = _load(args.train)
     dev = _load(args.dev)
@@ -137,7 +130,7 @@ def _cmd_evaluate(args) -> int:
     # Scope construction under the observer too, so index build/load
     # spans and metrics from fit land in the trace.
     with observer.activate() if observer is not None else nullcontext():
-        llm = _make_llm(args.llm, cache_dir=args.cache_dir)
+        llm = make_llm(args.llm, cache_dir=args.cache_dir)
         approach = _build_approach(
             args.approach, llm, train, args.budget, args.consistency,
             store=args.store, offline_index=args.offline_index,
@@ -212,6 +205,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_translate(args) -> int:
     from repro import api
+    from repro.api.runtime import make_llm
     from repro.api.types import TranslateRequest
 
     train = _load(args.train)
@@ -220,7 +214,7 @@ def _cmd_translate(args) -> int:
         raise SystemExit(
             f"unknown db_id {args.db_id!r}; available: {dev.db_ids()}"
         )
-    approach = _build_approach("purple", _make_llm(args.llm), train,
+    approach = _build_approach("purple", make_llm(args.llm), train,
                                args.budget, args.consistency,
                                store=args.store,
                                offline_index=args.offline_index,
@@ -252,7 +246,7 @@ def _parse_tenant_specs(args) -> list:
 def _cmd_serve(args) -> int:
     from contextlib import nullcontext
 
-    from repro.api.runtime import make_live, make_observer
+    from repro.api.runtime import make_live, make_llm, make_observer
     from repro.serve import (
         AdmissionController,
         AdmissionPolicy,
@@ -277,7 +271,7 @@ def _cmd_serve(args) -> int:
                 f"on {len(train)} demos, serving {len(data.databases)} dbs"
             )
             translator = _build_approach(
-                args.approach, _make_llm(args.llm), train,
+                args.approach, make_llm(args.llm), train,
                 args.budget, args.consistency,
                 store=args.store, offline_index=args.offline_index,
             )

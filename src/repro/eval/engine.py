@@ -10,9 +10,10 @@ collector so pipeline code instrumented with
 :func:`repro.eval.timing.stage` attributes its wall time to the right
 task.
 
-Threads (not processes) are the right pool here: evaluation tasks spend
-their time waiting on provider round-trips (simulated or real), which
-release the GIL, while the Python-side work per task is small.
+Threads (not processes) are the right pool here: a real provider
+round-trip releases the GIL while the worker waits on it.  With the
+in-process :class:`~repro.llm.MockLLM` a task is CPU-bound, so extra
+workers change the schedule, never the results.
 """
 
 from __future__ import annotations

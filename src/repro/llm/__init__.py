@@ -20,7 +20,6 @@ simulator* with the properties the paper's argument rests on:
 Profiles calibrate a ChatGPT-like and a GPT4-like model.
 """
 
-from repro.llm.batching import CoalesceStats, CoalescingLLM
 from repro.llm.cache import CacheStats, CachingLLM, PromptCache, request_key
 from repro.llm.degrade import LadderOutcome, best_effort_sql, run_ladder
 from repro.llm.errors import (
@@ -77,8 +76,6 @@ __all__ = [
     "PromptCache",
     "CacheStats",
     "request_key",
-    "CoalescingLLM",
-    "CoalesceStats",
     "SimulatedLatencyLLM",
     "ResilientLLM",
     "RetryPolicy",

@@ -2,7 +2,7 @@
 
 The evaluation stack is a multi-stage pipeline (prune → skeleton →
 select → llm → adapt → execute) behind a resilience layer (retries,
-circuit breaker, degradation ladder) and a caching/coalescing layer.
+circuit breaker, degradation ladder) and a prompt cache.
 Aggregate numbers cannot say *which* stage spent the time or *which*
 fallback rescued a query; this package can:
 
@@ -11,8 +11,7 @@ fallback rescued a query; this package can:
   provider attempt, cache lookup, and SQL statement, carried on the
   same contextvar lanes the parallel engine already uses;
 * **metrics** (:mod:`repro.obs.metrics`) — counters, gauges, and
-  histograms fed by the resilience, cache, coalescing, and executor
-  layers;
+  histograms fed by the resilience, cache, and executor layers;
 * **structured events** (:mod:`repro.obs.log`) — levelled, typed log
   records that ride along in the trace;
 * **export** (:mod:`repro.obs.export`) — a JSONL trace file (one span

@@ -28,8 +28,6 @@ class RunTelemetry:
     fallbacks: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    coalesce_requests: int = 0
-    coalesce_merged: int = 0
     #: Final degradation rung per translation: ``{"0": 37, "1": 3, ...}``.
     degradation_levels: dict = field(default_factory=dict)
     degrade_exhausted: int = 0
@@ -94,8 +92,6 @@ class RunTelemetry:
             fallbacks=snapshot.counter("llm.fallbacks"),
             cache_hits=snapshot.counter("cache.hits"),
             cache_misses=snapshot.counter("cache.misses"),
-            coalesce_requests=snapshot.counter("coalesce.requests"),
-            coalesce_merged=snapshot.counter("coalesce.merged"),
             degradation_levels=dict(
                 sorted(snapshot.labelled("degrade.level").items())
             ),
@@ -142,8 +138,6 @@ class RunTelemetry:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "coalesce_requests": self.coalesce_requests,
-            "coalesce_merged": self.coalesce_merged,
             "degradation_levels": self.degradation_levels,
             "degraded": self.degraded,
             "degrade_exhausted": self.degrade_exhausted,

@@ -7,10 +7,10 @@ a wire-contract object (:mod:`repro.api.types`) and returns
 a plain JSON-ready dict for the two GET endpoints).  No socket concepts
 leak in here.
 
-Determinism contract: a served ``translate`` runs inside *exactly* the
-scope the batch engine (:func:`repro.eval.engine.map_ordered`) puts
-around a task — ``task_lane`` + ``collect_stages`` + ``Observer.task``
-with the request id as the lane — and opens no extra spans of its own.
+Determinism contract: a served ``translate`` runs inside the same
+tracing scope the batch engine (:func:`repro.eval.engine.map_ordered`)
+puts around a task — ``task_lane`` + ``Observer.task`` with the request
+id as the lane — and opens no extra spans of its own.
 Serving-layer telemetry goes to counters, histograms, and events only,
 so the span tree of a served request is identical to the same task run
 through the batch engine with the same lane and tracer seed.
@@ -33,7 +33,6 @@ from repro.api.types import (
     TranslateRequest,
     task_from_request,
 )
-from repro.eval.timing import collect_stages
 from repro.obs.export import SCHEMA_VERSION
 from repro.obs.live import LiveTelemetry
 from repro.obs.metrics import MetricsSnapshot
@@ -178,17 +177,15 @@ class NL2SQLService:
                                  time.perf_counter() - started, status)
                     return status, envelope
                 min_rung = SHED_RUNG if verdict == SHED else 0
-                # The exact scope the batch engine puts around a task
+                # The tracing scope the batch engine puts around a task
                 # (repro.eval.engine.map_ordered.run_one), lane = the
                 # request id: the served span tree must be identical.
-                stages: dict = {}
                 observed = (
                     self.observer.task(request.request_id)
                     if self.observer is not None
                     else nullcontext()
                 )
-                with task_lane(request.request_id), \
-                        collect_stages(stages), observed:
+                with task_lane(request.request_id), observed:
                     response = api.translate(
                         tenant.translator, request, database=database,
                         min_rung=min_rung,

@@ -104,6 +104,22 @@ class TestStrictness:
         with pytest.raises(WireFormatError, match="sql"):
             ExecuteRequest(sql="", db_id="d")
 
+    @pytest.mark.parametrize("cls, text", [
+        (TranslateRequest, "question"), (ExecuteRequest, "sql"),
+    ])
+    @pytest.mark.parametrize("field, value", [
+        ("tenant", ["acme"]),
+        ("tenant", {"a": 1}),
+        ("tenant", ""),
+        ("tenant", None),
+        ("request_id", ["x"]),
+        ("request_id", 7),
+        ("request_id", None),
+    ])
+    def test_routing_fields_must_be_strings(self, cls, text, field, value):
+        with pytest.raises(WireFormatError, match=field):
+            cls.from_dict({text: "q", "db_id": "d", field: value})
+
 
 class TestTranslateEntryPoint:
     """``repro.api.translate`` takes the wire request and nothing else."""

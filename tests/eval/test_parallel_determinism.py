@@ -5,7 +5,6 @@ from repro import api
 from repro.eval import evaluate_approach
 from repro.llm import (
     CachingLLM,
-    CoalescingLLM,
     FaultPolicy,
     FaultyLLM,
     MockLLM,
@@ -51,13 +50,26 @@ class TestParallelDeterminism:
                 MockLLM(CHATGPT, seed=2),
                 FaultPolicy.transient(0.15, seed=4, scope="task"),
             )
-            llm = CoalescingLLM(llm)
             llm = CachingLLM(llm, cache=PromptCache())
             return purple(train_set, llm)
 
         serial = evaluate_approach(build(), dev_set, limit=LIMIT, workers=1)
         parallel = evaluate_approach(build(), dev_set, limit=LIMIT, workers=4)
         assert serial.outcomes == parallel.outcomes
+
+    def test_warm_cache_run_matches_cold(self, train_set, dev_set):
+        llm = CachingLLM(MockLLM(CHATGPT, seed=2), cache=PromptCache())
+        approach = purple(train_set, llm)
+        cold = evaluate_approach(approach, dev_set, limit=LIMIT, workers=1)
+        cold_stats = llm.stats()
+        warm = evaluate_approach(approach, dev_set, limit=LIMIT, workers=4)
+        warm_stats = llm.stats()
+        # The cache is shared, so the warm run's counters are a delta.
+        hits = warm_stats.hits - cold_stats.hits
+        lookups = hits + warm_stats.misses - cold_stats.misses
+        assert cold_stats.misses > 0
+        assert hits / lookups >= 0.9
+        assert warm.outcomes == cold.outcomes
 
     def test_timing_reflects_worker_count(self, train_set, dev_set):
         report = evaluate_approach(

@@ -8,7 +8,6 @@ faults are injected.
 """
 
 import dataclasses
-import threading
 
 import pytest
 
@@ -17,11 +16,9 @@ from repro.eval import evaluate_approach
 from repro.llm import (
     CHATGPT,
     CachingLLM,
-    CoalescingLLM,
     FakeClock,
     FaultPolicy,
     FaultyLLM,
-    LLMRequest,
     MockLLM,
     PromptCache,
     ResilientLLM,
@@ -150,7 +147,6 @@ class TestAcceptanceFullStack:
                 ),
             )
             llm = ResilientLLM(llm, clock=FakeClock())
-            llm = CoalescingLLM(llm)
             llm = CachingLLM(llm, cache=cache)
             return purple(train_set, llm)
 
@@ -173,8 +169,6 @@ class TestAcceptanceFullStack:
         assert telemetry.cache_hits > 0
         assert telemetry.cache_misses > 0
         assert 0.0 < telemetry.cache_hit_rate < 1.0
-        # Coalescing path (every provider call flows through it).
-        assert telemetry.coalesce_requests > 0
         # Degradation path (truncations skip retries, walk the ladder).
         assert telemetry.degraded > 0
         assert sum(telemetry.degradation_levels.values()) >= 2 * LIMIT
@@ -266,64 +260,3 @@ class TestRepairDeterminism:
         # mentions repair: same outcomes AND the same trace — the
         # disabled loop adds no spans, metrics, or executor calls.
         assert run(repair_rounds=0) == run()
-
-
-class _BlockingLLM:
-    """First call blocks until released; used to force in-flight overlap."""
-
-    name = "blocking"
-
-    def __init__(self):
-        self.release = threading.Event()
-        self.entered = threading.Event()
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def complete(self, request):
-        with self._lock:
-            self.calls += 1
-        self.entered.set()
-        self.release.wait(timeout=5)
-        from repro.llm.interface import LLMResponse
-
-        return LLMResponse(texts=["SELECT 1"], prompt_tokens=1, output_tokens=1)
-
-
-class TestCoalesceMergeMetric:
-    def test_merged_requests_counted(self):
-        """Two identical concurrent requests → one lead, one merged."""
-        observer = Observer()
-        inner = _BlockingLLM()
-        llm = CoalescingLLM(inner)
-        request = LLMRequest(prompt="SELECT", n=1)
-        results = []
-
-        def call():
-            with observer.activate():
-                results.append(llm.complete(request))
-
-        lead = threading.Thread(target=call)
-        lead.start()
-        assert inner.entered.wait(timeout=5)
-        follower = threading.Thread(target=call)
-        follower.start()
-        # The follower must have joined the in-flight entry before we
-        # release the leader; poll the wrapper's own counter.
-        for _ in range(500):
-            if llm.stats().merged == 1:
-                break
-            lead.join(timeout=0.01)
-        inner.release.set()
-        lead.join(timeout=5)
-        follower.join(timeout=5)
-
-        assert inner.calls == 1
-        assert len(results) == 2
-        snapshot = observer.metrics.snapshot()
-        assert snapshot.counter("coalesce.requests") == 2
-        assert snapshot.counter("coalesce.leads") == 1
-        assert snapshot.counter("coalesce.merged") == 1
-        merged_events = [
-            e for e in observer.logger.events() if e.name == "coalesce.merged"
-        ]
-        assert len(merged_events) == 1

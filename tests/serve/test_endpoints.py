@@ -114,6 +114,26 @@ class TestTranslate:
         assert status == 400
         assert "bogus" in data["message"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("tenant", ["acme"]),
+        ("tenant", {"a": 1}),
+        ("request_id", ["x"]),
+        ("request_id", 7),
+    ])
+    @pytest.mark.parametrize("path", ["/v1/translate", "/v1/explain"])
+    def test_non_string_routing_field_400(self, client, dev_set, path,
+                                          field, value):
+        example = dev_set.examples[0]
+        payload = {
+            "question": example.question, "db_id": example.db_id,
+            "tenant": "acme", field: value,
+        }
+        status, data = post(client, path, payload)
+        assert status == 400
+        envelope = ErrorEnvelope.from_dict(data)
+        assert envelope.code == "bad_request"
+        assert field in envelope.message
+
     def test_unknown_route_404(self, client):
         status, data = post(client, "/v1/nope", {"a": 1})
         assert status == 404
@@ -193,6 +213,20 @@ class TestExecute:
         response = ExecuteResponse.from_dict(data)
         assert response.error
         assert response.error_code == "no-such-table"
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("tenant", ["acme"]),
+        ("request_id", ["x"]),
+    ])
+    def test_non_string_routing_field_400(self, client, dev_set, field,
+                                          value):
+        status, data = post(client, "/v1/execute", {
+            "sql": "SELECT 1", "db_id": dev_set.db_ids()[0],
+            "tenant": "acme", field: value,
+        })
+        assert status == 400
+        assert ErrorEnvelope.from_dict(data).code == "bad_request"
 
 
 class TestGets:
