@@ -268,18 +268,16 @@ def _stdlib_random(ctx: FileContext):
 
 
 #: Packages whose public API surface must be self-documenting: the
-#: paper-facing core pipeline, the persistent demonstration store, and
-#: the evaluation harness.
+#: paper-facing core pipeline and the evaluation harness.
 _DOCSTRING_ROOTS = (
     "repro/core",
-    "repro/store",
     "repro/eval",
 )
 
 
 @rule(
     "py.missing-docstring",
-    "public functions in repro/core, repro/store, and repro/eval are the "
+    "public functions in repro/core and repro/eval are the "
     "paper-facing API surface; each needs a non-empty docstring",
 )
 def _missing_docstring(ctx: FileContext):

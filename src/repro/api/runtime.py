@@ -34,25 +34,18 @@ def make_llm(llm_name: str, cache_dir=None):
 
 
 def build_approach(name: str, llm, train, budget: int, consistency: int,
-                   store=None, offline_index: bool = False,
                    repair_rounds: int = 0, repair_token_budget=None,
                    dialect: str = "sqlite"):
     """Construct (and fit) an approach through the registry.
 
     Raises :class:`RuntimeConfigError` when a purple-only knob is
     paired with another approach, and lets the registry's
-    ``UnknownApproachError`` / the store's ``StoreError`` propagate for
-    the caller's boundary to render.
+    ``UnknownApproachError`` propagate for the caller's boundary to
+    render.
     """
     from repro import api
 
     extra = {}
-    if store is not None or offline_index:
-        if name != "purple":
-            raise RuntimeConfigError(
-                "--store/--offline-index apply to the purple approach only"
-            )
-        extra = {"store_path": store, "offline_index": offline_index}
     if repair_rounds or repair_token_budget is not None:
         if name != "purple":
             raise RuntimeConfigError(

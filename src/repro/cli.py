@@ -11,9 +11,6 @@ Commands:
 * ``report``    — render a saved JSONL trace as a per-stage / per-hardness
   profile with a text flame summary;
 * ``stats``     — print Table-3 style statistics for saved datasets;
-* ``index``     — manage the persistent demonstration store
-  (``index build`` precomputes it offline, ``index verify`` exits 1 on a
-  corrupt or mismatched store, ``index info`` prints the manifest);
 * ``lint``      — run the registered source-convention rules over a Python
   tree (exit 1 on findings);
 * ``analyze``   — run the schema-aware SQL semantic analyzer on one query
@@ -71,8 +68,7 @@ def _load(path: str) -> Dataset:
 
 
 def _build_approach(name: str, llm, train: Dataset, budget: int,
-                    consistency: int, store=None, offline_index=False,
-                    repair_rounds=0, repair_token_budget=None,
+                    consistency: int, repair_rounds=0, repair_token_budget=None,
                     dialect="sqlite"):
     """Registry construction with CLI error rendering.
 
@@ -83,21 +79,16 @@ def _build_approach(name: str, llm, train: Dataset, budget: int,
     from repro import api
     from repro.api.runtime import RuntimeConfigError, build_approach
     from repro.schema import exception_text
-    from repro.store import StoreError
 
     try:
         return build_approach(
             name, llm, train, budget, consistency,
-            store=store, offline_index=offline_index,
             repair_rounds=repair_rounds,
             repair_token_budget=repair_token_budget,
             dialect=dialect,
         )
     except (RuntimeConfigError, api.UnknownApproachError) as exc:
         raise SystemExit(exception_text(exc))
-    except StoreError as exc:
-        # Strict offline mode refused a missing/stale store.
-        raise SystemExit(f"demonstration store: {exc}")
 
 
 def _make_observer(args):
@@ -127,13 +118,12 @@ def _cmd_evaluate(args) -> int:
         f"Training {args.approach} ({args.llm}) on {len(train)} demos ..."
     )
     observer = _make_observer(args)
-    # Scope construction under the observer too, so index build/load
-    # spans and metrics from fit land in the trace.
+    # Scope construction under the observer too, so the index build
+    # span and metrics from fit land in the trace.
     with observer.activate() if observer is not None else nullcontext():
         llm = make_llm(args.llm, cache_dir=args.cache_dir)
         approach = _build_approach(
             args.approach, llm, train, args.budget, args.consistency,
-            store=args.store, offline_index=args.offline_index,
             repair_rounds=args.repair_rounds,
             repair_token_budget=args.repair_token_budget,
             dialect=args.dialect,
@@ -216,8 +206,6 @@ def _cmd_translate(args) -> int:
         )
     approach = _build_approach("purple", make_llm(args.llm), train,
                                args.budget, args.consistency,
-                               store=args.store,
-                               offline_index=args.offline_index,
                                repair_rounds=args.repair_rounds,
                                repair_token_budget=args.repair_token_budget)
     # The same wire request the HTTP service speaks (repro.api.types).
@@ -273,12 +261,10 @@ def _cmd_serve(args) -> int:
             translator = _build_approach(
                 args.approach, make_llm(args.llm), train,
                 args.budget, args.consistency,
-                store=args.store, offline_index=args.offline_index,
             )
-            registry.add(Tenant(
-                tenant_id=name, data=data, translator=translator,
-                store_path=args.store,
-            ))
+            registry.add(
+                Tenant(tenant_id=name, data=data, translator=translator)
+            )
     try:
         policy = AdmissionPolicy(
             rate=args.rate, burst=args.burst,
@@ -401,62 +387,6 @@ def _cmd_analyze(args) -> int:
     return 2 if diagnostics else 0
 
 
-def _cmd_index_build(args) -> int:
-    from repro.store import DemoStore
-
-    train = _load(args.train)
-    render.out(f"Indexing {len(train)} demonstrations ...")
-    store = DemoStore.build([ex.sql for ex in train])
-    path = store.save(args.out)
-    size = path.stat().st_size
-    states = ":".join(
-        str(v) for _, v in sorted(store.manifest.state_counts.items())
-    )
-    render.out(
-        f"Built store {path} ({size} bytes): {store.manifest.pool_size} "
-        f"demos, end states {states}, pool hash "
-        f"{store.manifest.pool_hash[:12]}…"
-    )
-    return 0
-
-
-def _cmd_index_verify(args) -> int:
-    from repro.store import DemoStore, StoreError
-
-    try:
-        store = DemoStore.load(args.store)
-    except StoreError as exc:
-        render.out(f"FAIL {args.store}: {exc}")
-        return 1
-    problems = store.self_check(deep=args.deep)
-    if args.train is not None:
-        train = _load(args.train)
-        problems.extend(store.verify_against([ex.sql for ex in train]))
-    if problems:
-        for problem in problems:
-            render.out(f"FAIL {args.store}: {problem}")
-        return 1
-    render.out(
-        f"ok: {args.store} ({store.manifest.pool_size} demos, "
-        f"pool hash {store.manifest.pool_hash[:12]}…)"
-    )
-    return 0
-
-
-def _cmd_index_info(args) -> int:
-    import json
-
-    from repro.store import StoreError, read_manifest
-
-    try:
-        manifest = read_manifest(args.store)
-    except StoreError as exc:
-        render.out(f"FAIL {args.store}: {exc}")
-        return 1
-    render.out(json.dumps(manifest, indent=2, sort_keys=True))
-    return 0
-
-
 def _cmd_stats(args) -> int:
     for path in args.datasets:
         stats = benchmark_statistics(_load(path))
@@ -516,16 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream structured events at or above this level to stderr",
     )
     e.add_argument(
-        "--store", default=None,
-        help="warm-start the demonstration index from this store file "
-             "(purple only; built on first use, reused while fresh)",
-    )
-    e.add_argument(
-        "--offline-index", action="store_true",
-        help="strict mode: error out instead of rebuilding when --store "
-             "is missing or stale",
-    )
-    e.add_argument(
         "--repair-rounds", type=int, default=0,
         help="per-task cap on execution-feedback repair rounds for "
              "failing answers (purple only; 0 disables the loop and is "
@@ -559,14 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--budget", type=int, default=3072)
     t.add_argument("--consistency", type=int, default=10)
     t.add_argument(
-        "--store", default=None,
-        help="warm-start the demonstration index from this store file",
-    )
-    t.add_argument(
-        "--offline-index", action="store_true",
-        help="strict mode: error out instead of rebuilding a stale store",
-    )
-    t.add_argument(
         "--repair-rounds", type=int, default=0,
         help="per-task cap on execution-feedback repair rounds",
     )
@@ -592,15 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--llm", default="gpt4", choices=["chatgpt", "gpt4"])
     sv.add_argument("--budget", type=int, default=3072)
     sv.add_argument("--consistency", type=int, default=10)
-    sv.add_argument(
-        "--store", default=None,
-        help="warm-start the demonstration index from this store file "
-             "(purple only)",
-    )
-    sv.add_argument(
-        "--offline-index", action="store_true",
-        help="strict mode: error out instead of rebuilding a stale store",
-    )
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument(
         "--port", type=int, default=8763,
@@ -686,38 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("stats", help="Table-3 statistics for saved datasets")
     s.add_argument("datasets", nargs="+")
     s.set_defaults(func=_cmd_stats)
-
-    ix = sub.add_parser(
-        "index", help="manage the persistent demonstration store"
-    )
-    ix_sub = ix.add_subparsers(dest="index_command", required=True)
-
-    ib = ix_sub.add_parser(
-        "build", help="precompute the demonstration store offline"
-    )
-    ib.add_argument("--train", default="corpus/train.json")
-    ib.add_argument("--out", default="corpus/train.demostore")
-    ib.set_defaults(func=_cmd_index_build)
-
-    iv = ix_sub.add_parser(
-        "verify",
-        help="check a store's integrity/freshness (exit 1 on any problem)",
-    )
-    iv.add_argument("--store", required=True)
-    iv.add_argument(
-        "--train", default=None,
-        help="also verify the store matches this saved demonstration pool",
-    )
-    iv.add_argument(
-        "--deep", action="store_true",
-        help="re-parse every embedded SQL and compare against the stored "
-             "skeletons (catches skeletonizer drift)",
-    )
-    iv.set_defaults(func=_cmd_index_verify)
-
-    ii = ix_sub.add_parser("info", help="print a store's manifest as JSON")
-    ii.add_argument("--store", required=True)
-    ii.set_defaults(func=_cmd_index_info)
 
     li = sub.add_parser(
         "lint", help="run the source-convention rules over a Python tree"

@@ -7,12 +7,9 @@ demonstrations whose skeleton reduces to that sequence, so matching a
 predicted skeleton retrieves all demonstrations sharing the identical
 state sequence in O(sequence length).
 
-Construction has two entry points: :meth:`AutomatonIndex.build` parses a
-pool of raw SQL strings (the cold path), and
-:meth:`AutomatonIndex.from_skeletons` consumes detail-level skeleton
-token sequences that were parsed earlier — the warm path used by
-:mod:`repro.store` when loading a persisted demonstration store, which
-skips SQL parsing entirely.
+:meth:`AutomatonIndex.build` constructs the index once per pool, in
+memory: it parses each demonstration's SQL into its detail-level
+skeleton and inserts that skeleton's abstraction at every level.
 """
 
 from __future__ import annotations
@@ -80,38 +77,19 @@ class AutomatonIndex:
     def build(demo_sqls: list) -> "AutomatonIndex":
         """Construct from the demonstration pool's gold SQL strings.
 
-        This is the cold path: every SQL string is tokenized and parsed
-        into its detail-level skeleton, then abstracted at all four
-        levels.  Pools that are indexed repeatedly should be persisted
-        with :class:`repro.store.DemoStore`, whose load path feeds
-        :meth:`from_skeletons` instead.
+        Every SQL string is tokenized and parsed into its detail-level
+        skeleton, then abstracted at all four levels and inserted into
+        that level's automaton.
 
         :param demo_sqls: gold SQL strings, in pool order (the position
             of each string becomes its demonstration index).
         :return: the populated four-level index.
         """
-        return AutomatonIndex.from_skeletons(
-            skeleton_tokens(sql) for sql in demo_sqls
-        )
-
-    @staticmethod
-    def from_skeletons(detail_skeletons) -> "AutomatonIndex":
-        """Construct from precomputed detail-level skeleton sequences.
-
-        The warm path: no SQL parsing happens here — only the cheap
-        level-2..4 token abstractions and trie insertion.  Equivalent to
-        :meth:`build` whenever ``detail_skeletons[i] ==
-        skeleton_tokens(demo_sqls[i])``.
-
-        :param detail_skeletons: iterable of detail-level (level-1)
-            skeleton token sequences, in pool order.
-        :return: the populated four-level index.
-        """
         index = AutomatonIndex(
             levels={lvl: LevelAutomaton(level=lvl) for lvl in (1, 2, 3, 4)}
         )
-        for demo_index, tokens in enumerate(detail_skeletons):
-            tokens = list(tokens)
+        for demo_index, sql in enumerate(demo_sqls):
+            tokens = skeleton_tokens(sql)
             for lvl in (1, 2, 3, 4):
                 index.levels[lvl].add(abstract_tokens(tokens, lvl), demo_index)
         return index

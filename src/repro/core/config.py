@@ -29,12 +29,6 @@ class PurpleConfig:
 
     # Demonstration selection (§IV-C)
     use_selection: bool = True  # False = random demonstrations
-    # Persistent demonstration store (docs/demo-store.md).  When set,
-    # ``fit`` warm-starts the automaton from this file (building it on
-    # first use) instead of re-parsing the pool; ``offline_index``
-    # makes a missing/stale store an error instead of a rebuild.
-    store_path: Optional[str] = None
-    offline_index: bool = False
     p0: int = 1
     generalization: str = "linear-1"  # "linear-N" or "exp-N"
     mask_levels: int = 0        # Figure 12: ignore the first N levels

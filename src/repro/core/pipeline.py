@@ -79,7 +79,6 @@ class Purple:
         self.pruner: Optional[SchemaPruner] = None
         self.skeleton_module: Optional[SkeletonPredictionModule] = None
         self.automaton: Optional[AutomatonIndex] = None
-        self.store = None  # repro.store.DemoStore on the warm-start path
         self.index_stats: dict = {}
         self.prompt_builder: Optional[PromptBuilder] = None
         self.oracle_skeletons: dict = {}
@@ -112,38 +111,21 @@ class Purple:
         return self
 
     def _index_pool(self, demo_pool: Dataset) -> None:
-        """Index the demonstration pool, warm-starting when configured.
+        """Build the four-level automaton over the demonstration pool.
 
-        With :attr:`PurpleConfig.store_path` set, the four-level
-        automaton comes from the persistent demonstration store — built
-        once offline (or on first use), loaded without SQL parsing, and
-        shared read-only across every worker and pipeline instance in
-        the process.  Without it, the index is rebuilt from raw SQL
-        (the original cold path).  Either way ``index_stats`` records
-        what happened so the evaluation harness can surface it.
+        ``index_stats`` records the build time, pool size and per-level
+        end-state counts so the evaluation harness and ``/v1/health``
+        can surface them.
         """
-        cfg = self.config
         demo_sqls = [ex.sql for ex in demo_pool]
         started = time.perf_counter()
-        if cfg.store_path is not None:
-            from repro.store import shared_store
-
-            self.store = shared_store(
-                cfg.store_path, demo_sqls, offline=cfg.offline_index
-            )
-            self.automaton = self.store.index
-            source = "warm"
-        else:
-            with obs.span("index.build"):
-                self.automaton = AutomatonIndex.build(demo_sqls)
-            obs.count("index.builds")
-            obs.observe(
-                "index.build_ms", (time.perf_counter() - started) * 1000.0
-            )
-            source = "cold"
+        with obs.span("index.build"):
+            self.automaton = AutomatonIndex.build(demo_sqls)
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        obs.count("index.builds")
+        obs.observe("index.build_ms", elapsed_ms)
         self.index_stats = {
-            "source": source,
-            "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
+            "elapsed_ms": round(elapsed_ms, 3),
             "pool_size": len(demo_sqls),
             "states": self.automaton.end_state_counts(),
         }
@@ -443,10 +425,7 @@ def _make_purple(*, llm=None, train=None, budget=None, consistency_n=None,
 
     Pass ``config=PurpleConfig(...)`` to take full control (the shared
     knobs must then be omitted), or pass any ``PurpleConfig`` field as a
-    keyword override — notably ``store_path=`` to warm-start the
-    demonstration index from a persistent store and
-    ``offline_index=True`` to forbid implicit rebuilds of a stale one
-    (see docs/demo-store.md).
+    keyword override.
     """
     if config is not None:
         if budget is not None or consistency_n is not None or seed is not None:

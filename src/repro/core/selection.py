@@ -30,8 +30,7 @@ def select_demonstrations(
 
     :param index: the four-level
         :class:`~repro.core.automaton.AutomatonIndex` over the
-        demonstration pool (cold-built via ``AutomatonIndex.build`` or
-        warm-loaded from a :class:`~repro.store.DemoStore`).
+        demonstration pool, built by ``AutomatonIndex.build``.
     :param predicted_skeletons: list of
         :class:`~repro.core.skeleton_prediction.PredictedSkeleton`,
         best (highest-probability) first — the columns of ``I``.

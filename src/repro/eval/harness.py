@@ -419,15 +419,12 @@ def evaluate_approach(
 
 
 def _publish_index_stats(approach, observer) -> None:
-    """Surface the approach's demonstration-index provenance in the run.
+    """Surface the approach's demonstration-index size in the run.
 
     ``fit`` usually runs before an observer exists, so its
-    ``index.build``/``index.load`` instrumentation lands nowhere.  Any
-    approach that records ``index_stats`` at fit time (PURPLE does —
-    source, elapsed ms, pool size, per-level state counts) gets them
-    re-emitted here as gauges plus one ``index.source`` event, so a
-    trace of the run still says whether the automaton was warm-started
-    from a store or rebuilt cold.
+    ``index.build`` instrumentation lands nowhere.  Any approach that
+    records ``index_stats`` at fit time (PURPLE does — pool size and
+    per-level state counts) gets them re-emitted here as gauges.
     """
     stats = getattr(approach, "index_stats", None)
     if not stats:
@@ -436,11 +433,6 @@ def _publish_index_stats(approach, observer) -> None:
         obs.gauge("index.pool_size", stats.get("pool_size", 0))
         for level, states in sorted(stats.get("states", {}).items()):
             obs.gauge("index.states", states, level=str(level))
-        obs.event(
-            "index.source",
-            source=stats.get("source", "unknown"),
-            elapsed_ms=stats.get("elapsed_ms", 0.0),
-        )
 
 
 def build_suites_for_dataset(

@@ -12,9 +12,49 @@ byte-identical with telemetry on or off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.obs.metrics import MetricsSnapshot
+
+#: Where :meth:`RunTelemetry.from_metrics` reads each field: ``(field,
+#: metric, kind)``.  ``counter`` reads the unlabelled counter, ``total``
+#: sums the counter over all its label sets, and ``labelled`` keeps the
+#: per-label counts as a key-sorted dict.  ``events`` is not a metric
+#: and is passed in by the caller.
+_SOURCES = (
+    ("tasks", "tasks.evaluated", "counter"),
+    ("llm_attempts", "llm.attempts", "counter"),
+    ("llm_retries", "llm.retries", "counter"),
+    ("breaker_opens", "llm.breaker.opens", "counter"),
+    ("fallbacks", "llm.fallbacks", "counter"),
+    ("cache_hits", "cache.hits", "counter"),
+    ("cache_misses", "cache.misses", "counter"),
+    ("degradation_levels", "degrade.level", "labelled"),
+    ("degrade_exhausted", "degrade.exhausted", "counter"),
+    ("executor_statements", "executor.statements", "counter"),
+    ("executor_timeouts", "executor.timeouts", "counter"),
+    ("executor_cache_hits", "executor.cache_hits", "counter"),
+    ("executor_cache_misses", "executor.cache_misses", "counter"),
+    ("index_builds", "index.builds", "counter"),
+    ("guard_checked", "guard.checked", "counter"),
+    ("guard_skipped", "guard.skipped", "counter"),
+    ("repair_triggered", "repair.triggered", "counter"),
+    ("repair_rounds", "repair.rounds", "counter"),
+    ("repair_success_depth", "repair.success_depth", "labelled"),
+    ("repair_abandoned", "repair.abandoned", "labelled"),
+    ("diagnostics", "analysis.rule", "labelled"),
+    ("dialect_checked", "analysis.dialect.checked", "total"),
+    ("dialect_findings", "analysis.dialect.finding", "total"),
+    ("dialect_rejections", "executor.dialect_rejections", "total"),
+)
+
+#: Derived values :meth:`RunTelemetry.as_dict` places right after a
+#: field: ``field -> (key, value of the roll-up)``.
+_DERIVED_AFTER = {
+    "cache_misses": ("cache_hit_rate", lambda t: round(t.cache_hit_rate, 4)),
+    "degradation_levels": ("degraded", lambda t: t.degraded),
+    "repair_rounds": ("repair_recovered", lambda t: t.repair_recovered),
+}
 
 
 @dataclass(frozen=True)
@@ -35,12 +75,8 @@ class RunTelemetry:
     executor_timeouts: int = 0
     executor_cache_hits: int = 0
     executor_cache_misses: int = 0
-    #: Demonstration-index lifecycle (repro.store): cold builds, warm
-    #: loads, shared/cached reuses, and staleness-triggered rebuilds.
+    #: Demonstration-index builds (one per fitted PURPLE instance).
     index_builds: int = 0
-    index_loads: int = 0
-    index_cache_hits: int = 0
-    index_rebuilds: int = 0
     #: Static pre-execution guard: predictions checked and skipped.
     guard_checked: int = 0
     guard_skipped: int = 0
@@ -84,81 +120,24 @@ class RunTelemetry:
         cls, snapshot: MetricsSnapshot, events: int = 0
     ) -> "RunTelemetry":
         """Build the roll-up from a registry snapshot."""
+        readers = {
+            "counter": snapshot.counter,
+            "total": snapshot.counter_total,
+            "labelled": lambda name: dict(
+                sorted(snapshot.labelled(name).items())
+            ),
+        }
         return cls(
-            tasks=snapshot.counter("tasks.evaluated"),
-            llm_attempts=snapshot.counter("llm.attempts"),
-            llm_retries=snapshot.counter("llm.retries"),
-            breaker_opens=snapshot.counter("llm.breaker.opens"),
-            fallbacks=snapshot.counter("llm.fallbacks"),
-            cache_hits=snapshot.counter("cache.hits"),
-            cache_misses=snapshot.counter("cache.misses"),
-            degradation_levels=dict(
-                sorted(snapshot.labelled("degrade.level").items())
-            ),
-            degrade_exhausted=snapshot.counter("degrade.exhausted"),
-            executor_statements=snapshot.counter("executor.statements"),
-            executor_timeouts=snapshot.counter("executor.timeouts"),
-            executor_cache_hits=snapshot.counter("executor.cache_hits"),
-            executor_cache_misses=snapshot.counter("executor.cache_misses"),
-            index_builds=snapshot.counter("index.builds"),
-            index_loads=snapshot.counter("index.loads"),
-            index_cache_hits=snapshot.counter("index.cache_hit"),
-            index_rebuilds=snapshot.counter("index.rebuilds"),
-            guard_checked=snapshot.counter("guard.checked"),
-            guard_skipped=snapshot.counter("guard.skipped"),
-            repair_triggered=snapshot.counter("repair.triggered"),
-            repair_rounds=snapshot.counter("repair.rounds"),
-            repair_success_depth=dict(
-                sorted(snapshot.labelled("repair.success_depth").items())
-            ),
-            repair_abandoned=dict(
-                sorted(snapshot.labelled("repair.abandoned").items())
-            ),
-            diagnostics=dict(
-                sorted(snapshot.labelled("analysis.rule").items())
-            ),
-            dialect_checked=snapshot.counter_total("analysis.dialect.checked"),
-            dialect_findings=snapshot.counter_total(
-                "analysis.dialect.finding"
-            ),
-            dialect_rejections=snapshot.counter_total(
-                "executor.dialect_rejections"
-            ),
             events=events,
+            **{name: readers[kind](metric) for name, metric, kind in _SOURCES},
         )
 
     def as_dict(self) -> dict:
         """JSON-ready form (what ``repro report`` and benches render)."""
-        return {
-            "tasks": self.tasks,
-            "llm_attempts": self.llm_attempts,
-            "llm_retries": self.llm_retries,
-            "breaker_opens": self.breaker_opens,
-            "fallbacks": self.fallbacks,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "degradation_levels": self.degradation_levels,
-            "degraded": self.degraded,
-            "degrade_exhausted": self.degrade_exhausted,
-            "executor_statements": self.executor_statements,
-            "executor_timeouts": self.executor_timeouts,
-            "executor_cache_hits": self.executor_cache_hits,
-            "executor_cache_misses": self.executor_cache_misses,
-            "index_builds": self.index_builds,
-            "index_loads": self.index_loads,
-            "index_cache_hits": self.index_cache_hits,
-            "index_rebuilds": self.index_rebuilds,
-            "guard_checked": self.guard_checked,
-            "guard_skipped": self.guard_skipped,
-            "repair_triggered": self.repair_triggered,
-            "repair_rounds": self.repair_rounds,
-            "repair_recovered": self.repair_recovered,
-            "repair_success_depth": self.repair_success_depth,
-            "repair_abandoned": self.repair_abandoned,
-            "diagnostics": self.diagnostics,
-            "dialect_checked": self.dialect_checked,
-            "dialect_findings": self.dialect_findings,
-            "dialect_rejections": self.dialect_rejections,
-            "events": self.events,
-        }
+        out = {}
+        for f in fields(self):
+            out[f.name] = getattr(self, f.name)
+            if f.name in _DERIVED_AFTER:
+                key, value = _DERIVED_AFTER[f.name]
+                out[key] = value(self)
+        return out

@@ -36,6 +36,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
+from urllib.parse import unquote
 
 from repro.api.types import (
     ErrorEnvelope,
@@ -127,10 +128,12 @@ class _Handler(BaseHTTPRequestHandler):
             status, payload = self.service.status()
         elif (self.path.startswith("/v1/tenants/")
                 and self.path.endswith("/usage")):
-            tenant_id = self.path[len("/v1/tenants/"):-len("/usage")]
+            # Ids are percent-decoded after the split, so an encoded
+            # "/" (%2F) stays inside the id.
+            tenant_id = unquote(self.path[len("/v1/tenants/"):-len("/usage")])
             status, payload = self.service.tenant_usage(tenant_id)
         elif self.path.startswith("/v1/trace/"):
-            request_id = self.path[len("/v1/trace/"):]
+            request_id = unquote(self.path[len("/v1/trace/"):])
             status, payload = self.service.trace(request_id)
         else:
             self._send_error_envelope(

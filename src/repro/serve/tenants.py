@@ -1,11 +1,8 @@
-"""Tenant isolation: who owns which schemas, stores, and translator.
+"""Tenant isolation: who owns which schemas and translator.
 
 A *tenant* is one customer of the service: a set of databases it may
-query (a :class:`~repro.spider.dataset.Dataset`), a fitted translator,
-and — for approaches that use one — its own demonstration store, wired
-through :func:`repro.store.shared_store` at construction so two tenants
-serving the same pool share the read-only index without sharing any
-mutable state.
+query (a :class:`~repro.spider.dataset.Dataset`) and a fitted
+translator.
 
 The :class:`TenantRegistry` is the service's only path from a wire-level
 ``tenant`` string to live objects.  Lookups of unknown tenants raise
@@ -49,9 +46,8 @@ class Tenant:
 
     ``data`` holds the databases this tenant may query; ``translator``
     is the tenant's own fitted approach instance (instances are never
-    shared across tenants — per-tenant stores and repair budgets hang
-    off them).  ``store_path`` records the demonstration store the
-    translator was wired to, for the health report.  ``objectives``
+    shared across tenants — per-tenant repair budgets hang off
+    them).  ``objectives``
     (a :class:`~repro.obs.live.SLOObjectives`, optional) overrides the
     service-wide SLO targets for this tenant; the service installs it
     into the live-telemetry SLO tracker at construction.
@@ -60,7 +56,6 @@ class Tenant:
     tenant_id: str
     data: object
     translator: object
-    store_path: Optional[str] = None
     objectives: Optional[object] = None
 
     def database(self, db_id: str):

@@ -140,9 +140,7 @@ class TestMissingDocstringRule:
     def test_rule_scoped_to_documented_roots(self, tmp_path):
         source = "def bare():\n    return 1\n"
         assert self.run_scoped(tmp_path / "a", source, subdir="repro/llm") == []
-        for i, subdir in enumerate(
-            ("repro/core", "repro/store", "repro/eval")
-        ):
+        for i, subdir in enumerate(("repro/core", "repro/eval")):
             base = tmp_path / str(i)  # fresh tree per root under test
             assert len(self.run_scoped(base, source, subdir=subdir)) == 1
 

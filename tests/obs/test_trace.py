@@ -209,6 +209,21 @@ class TestRunTelemetry:
         d = RunTelemetry(cache_hits=1, cache_misses=2).as_dict()
         assert d["cache_hit_rate"] == 0.3333
 
+    def test_as_dict_key_order(self):
+        # `repro report` renders the roll-up in this order; each derived
+        # value sits right after the field it is computed from.
+        assert list(RunTelemetry().as_dict()) == [
+            "tasks", "llm_attempts", "llm_retries", "breaker_opens",
+            "fallbacks", "cache_hits", "cache_misses", "cache_hit_rate",
+            "degradation_levels", "degraded", "degrade_exhausted",
+            "executor_statements", "executor_timeouts",
+            "executor_cache_hits", "executor_cache_misses", "index_builds",
+            "guard_checked", "guard_skipped", "repair_triggered",
+            "repair_rounds", "repair_recovered", "repair_success_depth",
+            "repair_abandoned", "diagnostics", "dialect_checked",
+            "dialect_findings", "dialect_rejections", "events",
+        ]
+
 
 def _observed_run() -> Observer:
     obs = Observer(seed=3)

@@ -6,13 +6,22 @@ from http.client import HTTPConnection
 
 import pytest
 
+from repro.api.runtime import make_live
 from repro.api.types import (
     ErrorEnvelope,
     ExecuteResponse,
     ExplainResponse,
     TranslateResponse,
 )
-from repro.serve import ReproServer
+from repro.obs import Observer
+from repro.serve import (
+    AdmissionController,
+    AdmissionPolicy,
+    NL2SQLService,
+    ReproServer,
+    Tenant,
+    TenantRegistry,
+)
 
 
 @pytest.fixture()
@@ -264,3 +273,62 @@ class TestGets:
             sock.sendall(b"GET /v1/health\r\n\r\n")
             data = b"".join(iter(lambda: sock.recv(65536), b""))
         assert json.loads(data)["status"] == "ok"
+
+
+@pytest.fixture()
+def live_client(translator, dev_set):
+    """A live-telemetry server whose tenant ids need percent-encoding."""
+    registry = TenantRegistry()
+    for tenant_id in ("north pole", "a/b"):
+        registry.add(Tenant(
+            tenant_id=tenant_id, data=dev_set, translator=translator
+        ))
+    observer = Observer(seed=0, log_level="info")
+    service = NL2SQLService(
+        registry,
+        AdmissionController(AdmissionPolicy(rate=1000.0, burst=1000)),
+        observer=observer,
+        live=make_live(observer, prune_lanes=True),
+    )
+    server = ReproServer(service, port=0).start()
+    conn = HTTPConnection(*server.address, timeout=10)
+    yield conn
+    conn.close()
+    server.shutdown()
+    server.server_close()
+    service.close()
+
+
+class TestPercentEncodedIds:
+    @pytest.mark.parametrize("request_id, path_id", [
+        ("with space", "with%20space"),
+        ("a/b", "a%2Fb"),
+    ])
+    def test_trace_id_is_decoded(self, live_client, dev_set, request_id,
+                                 path_id):
+        example = dev_set.examples[0]
+        status, _ = post(live_client, "/v1/translate", {
+            "question": example.question, "db_id": example.db_id,
+            "tenant": "north pole", "request_id": request_id,
+        })
+        assert status == 200
+        status, trace = get(live_client, f"/v1/trace/{path_id}")
+        assert status == 200
+        assert trace["request_id"] == request_id
+
+    @pytest.mark.parametrize("tenant_id, path_id", [
+        ("north pole", "north%20pole"),
+        ("a/b", "a%2Fb"),
+    ])
+    def test_tenant_usage_id_is_decoded(self, live_client, dev_set,
+                                        tenant_id, path_id):
+        example = dev_set.examples[0]
+        status, _ = post(live_client, "/v1/translate", {
+            "question": example.question, "db_id": example.db_id,
+            "tenant": tenant_id,
+        })
+        assert status == 200
+        status, data = get(live_client, f"/v1/tenants/{path_id}/usage")
+        assert status == 200
+        assert data["tenant"] == tenant_id
+        assert data["usage"]["requests"] == 1

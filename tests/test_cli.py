@@ -315,109 +315,6 @@ class TestStaticGuard:
         assert "executions avoided" in out
 
 
-class TestIndexCommands:
-    @pytest.fixture(scope="class")
-    def store_path(self, corpus_dir, tmp_path_factory):
-        path = tmp_path_factory.mktemp("stores") / "train.demostore"
-        code = main([
-            "index", "build",
-            "--train", str(corpus_dir / "train.json"),
-            "--out", str(path),
-        ])
-        assert code == 0
-        return path
-
-    def test_build_announces_store(self, store_path, capsys):
-        capsys.readouterr()
-        assert store_path.exists()
-        code = main([
-            "index", "info", "--store", str(store_path),
-        ])
-        assert code == 0
-
-    def test_info_prints_manifest_json(self, store_path, capsys):
-        import json
-
-        assert main(["index", "info", "--store", str(store_path)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        from repro.store import FORMAT_VERSION
-
-        assert payload["pool_size"] == 8 * 11
-        assert payload["format_version"] == FORMAT_VERSION
-        assert set(payload["state_counts"]) == {"1", "2", "3", "4"}
-
-    def test_verify_fresh_store_ok(self, corpus_dir, store_path, capsys):
-        code = main([
-            "index", "verify",
-            "--store", str(store_path),
-            "--train", str(corpus_dir / "train.json"),
-            "--deep",
-        ])
-        assert code == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_verify_stale_store_exit_one(
-        self, corpus_dir, store_path, capsys
-    ):
-        code = main([
-            "index", "verify",
-            "--store", str(store_path),
-            "--train", str(corpus_dir / "dev.json"),
-        ])
-        assert code == 1
-        assert "hash mismatch" in capsys.readouterr().out
-
-    def test_verify_corrupt_store_exit_one(self, tmp_path, capsys):
-        bad = tmp_path / "bad.demostore"
-        bad.write_bytes(b"garbage")
-        assert main(["index", "verify", "--store", str(bad)]) == 1
-
-    def test_evaluate_warm_start_matches_cold(
-        self, corpus_dir, store_path, capsys
-    ):
-        args = [
-            "evaluate",
-            "--train", str(corpus_dir / "train.json"),
-            "--dev", str(corpus_dir / "dev.json"),
-            "--approach", "purple",
-            "--consistency", "2",
-            "--limit", "6",
-        ]
-        assert main(args) == 0
-        cold = capsys.readouterr().out
-        assert main(
-            args + ["--store", str(store_path), "--offline-index"]
-        ) == 0
-        warm = capsys.readouterr().out
-
-        def result_line(text):
-            return next(l for l in text.splitlines() if "EM " in l)
-
-        assert result_line(cold) == result_line(warm)
-
-    def test_offline_with_missing_store_fails_cleanly(self, corpus_dir):
-        with pytest.raises(SystemExit, match="demonstration store"):
-            main([
-                "evaluate",
-                "--train", str(corpus_dir / "train.json"),
-                "--dev", str(corpus_dir / "dev.json"),
-                "--approach", "purple",
-                "--limit", "2",
-                "--store", "/nonexistent/missing.demostore",
-                "--offline-index",
-            ])
-
-    def test_store_flag_requires_purple(self, corpus_dir):
-        with pytest.raises(SystemExit, match="purple"):
-            main([
-                "evaluate",
-                "--train", str(corpus_dir / "train.json"),
-                "--dev", str(corpus_dir / "dev.json"),
-                "--approach", "zero",
-                "--store", "anything.demostore",
-            ])
-
-
 class TestTranslate:
     def test_translate_prints_sql(self, corpus_dir, capsys):
         from repro.spider import Dataset
@@ -482,20 +379,6 @@ class TestServe:
     def test_malformed_tenant_spec_rejected(self, corpus_dir):
         with pytest.raises(SystemExit, match="NAME=TRAIN:DEV"):
             main(["serve", "--tenant", "acme", "--check"])
-
-    def test_store_flag_rejected_for_other_approaches(self, corpus_dir):
-        with pytest.raises(SystemExit, match="purple approach only"):
-            main(
-                [
-                    "serve",
-                    "--train", str(corpus_dir / "train.json"),
-                    "--dev", str(corpus_dir / "dev.json"),
-                    "--approach", "zero",
-                    "--store", "anything.demostore",
-                    "--check",
-                ]
-            )
-
 
 class TestAnalyzeDialect:
     def _dev(self, corpus_dir):
