@@ -15,7 +15,7 @@ from repro.api.registry import register
 from repro.core.consistency import consistency_vote
 from repro.eval.cost import TokenUsage
 from repro.eval.harness import TranslationResult, TranslationTask
-from repro.llm.degrade import best_effort_sql, retries_so_far, run_ladder
+from repro.llm.degrade import best_effort_sql, run_ladder
 from repro.llm.interface import LLM, LLMRequest
 from repro.llm.promptfmt import build_prompt, render_schema
 from repro.schema import Database, Schema, SchemaGraph, SQLiteExecutor
@@ -58,7 +58,6 @@ class C3:
         prompt = build_prompt(
             schema_text, task.question, instructions=C3_INSTRUCTIONS
         )
-        retries_before = retries_so_far(self.llm)
         outcome = run_ladder(
             self.llm,
             [
@@ -69,12 +68,11 @@ class C3:
                 ),
             ],
         )
-        retries = retries_so_far(self.llm) - retries_before
         if not outcome.ok:
             return TranslationResult(
                 sql=best_effort_sql(task.database.schema),
                 degradation_level=outcome.level,
-                retries=retries,
+                retries=outcome.retries,
                 best_effort=True,
                 events=outcome.events,
             )
@@ -84,7 +82,7 @@ class C3:
             sql=final,
             usage=TokenUsage(response.prompt_tokens, response.output_tokens, 1),
             degradation_level=outcome.level,
-            retries=retries,
+            retries=outcome.retries,
             events=outcome.events,
         )
 

@@ -19,10 +19,11 @@ from repro.api.registry import register
 from repro.core.prompt import PromptBuilder
 from repro.eval.cost import TokenUsage
 from repro.eval.harness import TranslationResult, TranslationTask
-from repro.llm.degrade import best_effort_sql, retries_so_far, run_ladder
+from repro.llm.degrade import best_effort_sql, run_ladder
 from repro.llm.errors import LLMError
 from repro.llm.interface import LLM, LLMRequest
 from repro.llm.promptfmt import build_prompt, render_schema
+from repro.llm.resilient import count_retries
 from repro.spider.dataset import Dataset
 from repro.sqlkit.errors import SQLError
 from repro.sqlkit.skeleton import skeleton_tokens
@@ -92,8 +93,6 @@ class DAILSQL:
         """Translate one NL question to SQL (NL2SQLApproach protocol)."""
         assert self.prompt_builder is not None, "call fit() first"
         schema_text = render_schema(task.database)
-
-        retries_before = retries_so_far(self.llm)
         events: list = []
 
         # Preliminary SQL from a zero-shot call (DAIL's pre-prediction).
@@ -101,15 +100,18 @@ class DAILSQL:
         pre_prompt = build_prompt(schema_text, task.question)
         pre_usage = TokenUsage()
         pre_keywords = frozenset()
-        try:
-            preliminary = self.llm.complete(LLMRequest(prompt=pre_prompt, n=1))
-        except LLMError as exc:
-            events.append(f"{type(exc).__name__}@preliminary")
-        else:
-            pre_keywords = sql_keyword_set(preliminary.text)
-            pre_usage = TokenUsage(
-                preliminary.prompt_tokens, preliminary.output_tokens, 1
-            )
+        with count_retries() as pre_tally:
+            try:
+                preliminary = self.llm.complete(
+                    LLMRequest(prompt=pre_prompt, n=1)
+                )
+            except LLMError as exc:
+                events.append(f"{type(exc).__name__}@preliminary")
+            else:
+                pre_keywords = sql_keyword_set(preliminary.text)
+                pre_usage = TokenUsage(
+                    preliminary.prompt_tokens, preliminary.output_tokens, 1
+                )
 
         question_words = masked_question_words(task.question)
         scores = [
@@ -130,7 +132,7 @@ class DAILSQL:
             ],
         )
         events.extend(outcome.events)
-        retries = retries_so_far(self.llm) - retries_before
+        retries = pre_tally.retries + outcome.retries
         if not outcome.ok:
             return TranslationResult(
                 sql=best_effort_sql(task.database.schema),

@@ -15,10 +15,11 @@ from typing import Optional
 from repro.api.registry import register
 from repro.eval.cost import TokenUsage
 from repro.eval.harness import TranslationResult, TranslationTask
-from repro.llm.degrade import best_effort_sql, retries_so_far, run_ladder
+from repro.llm.degrade import best_effort_sql, run_ladder
 from repro.llm.errors import LLMError
 from repro.llm.interface import LLM, LLMRequest
 from repro.llm.promptfmt import build_prompt, render_demo, render_schema
+from repro.llm.resilient import count_retries
 from repro.plm.labels import used_schema_items
 from repro.spider.dataset import Dataset
 
@@ -85,7 +86,6 @@ class DINSQL:
             demos=self._static_demos,
             instructions=COT_INSTRUCTIONS,
         )
-        retries_before = retries_so_far(self.llm)
         outcome = run_ladder(
             self.llm,
             [
@@ -101,7 +101,7 @@ class DINSQL:
             return TranslationResult(
                 sql=best_effort_sql(task.database.schema),
                 degradation_level=outcome.level,
-                retries=retries_so_far(self.llm) - retries_before,
+                retries=outcome.retries,
                 best_effort=True,
                 events=outcome.events,
             )
@@ -113,12 +113,15 @@ class DINSQL:
             + f"\nPrevious answer: {first.text}\n"
             "Check the answer for schema and logic errors and answer again."
         )
-        try:
-            second = self.llm.complete(LLMRequest(prompt=correction_prompt, n=1))
-        except LLMError as exc:
-            # The first answer stands when the correction round fails.
-            events.append(f"{type(exc).__name__}@correction")
-            second = first
+        with count_retries() as correction:
+            try:
+                second = self.llm.complete(
+                    LLMRequest(prompt=correction_prompt, n=1)
+                )
+            except LLMError as exc:
+                # The first answer stands when the correction round fails.
+                events.append(f"{type(exc).__name__}@correction")
+                second = first
         if second is first:
             usage = TokenUsage(first.prompt_tokens, first.output_tokens, 1)
         else:
@@ -131,7 +134,7 @@ class DINSQL:
             sql=second.text,
             usage=usage,
             degradation_level=outcome.level,
-            retries=retries_so_far(self.llm) - retries_before,
+            retries=outcome.retries + correction.retries,
             events=tuple(events),
         )
 

@@ -19,7 +19,7 @@ from repro.api.registry import register
 from repro.core.prompt import PromptBuilder
 from repro.eval.cost import TokenUsage
 from repro.eval.harness import TranslationResult, TranslationTask
-from repro.llm.degrade import best_effort_sql, retries_so_far, run_ladder
+from repro.llm.degrade import best_effort_sql, run_ladder
 from repro.llm.interface import LLM, LLMRequest
 from repro.llm.promptfmt import build_prompt, render_schema
 from repro.spider.dataset import Dataset
@@ -49,16 +49,14 @@ class ZeroShotSQL:
             task.database, values_per_column=self.values_per_column
         )
         prompt = build_prompt(schema_text, task.question)
-        retries_before = retries_so_far(self.llm)
         outcome = run_ladder(
             self.llm, [lambda: LLMRequest(prompt=prompt, n=1)]
         )
-        retries = retries_so_far(self.llm) - retries_before
         if not outcome.ok:
             return TranslationResult(
                 sql=best_effort_sql(task.database.schema),
                 degradation_level=outcome.level,
-                retries=retries,
+                retries=outcome.retries,
                 best_effort=True,
                 events=outcome.events,
             )
@@ -66,7 +64,7 @@ class ZeroShotSQL:
         return TranslationResult(
             sql=response.text,
             usage=TokenUsage(response.prompt_tokens, response.output_tokens, 1),
-            retries=retries,
+            retries=outcome.retries,
             events=outcome.events,
         )
 
@@ -103,7 +101,6 @@ class FewShotRandom:
         prompt = self.prompt_builder.build(
             task.question, schema_text, demo_order=[], budget=self.budget, rng=rng
         )
-        retries_before = retries_so_far(self.llm)
         outcome = run_ladder(
             self.llm,
             [
@@ -114,12 +111,11 @@ class FewShotRandom:
                 ),
             ],
         )
-        retries = retries_so_far(self.llm) - retries_before
         if not outcome.ok:
             return TranslationResult(
                 sql=best_effort_sql(task.database.schema),
                 degradation_level=outcome.level,
-                retries=retries,
+                retries=outcome.retries,
                 best_effort=True,
                 events=outcome.events,
             )
@@ -128,7 +124,7 @@ class FewShotRandom:
             sql=response.text,
             usage=TokenUsage(response.prompt_tokens, response.output_tokens, 1),
             degradation_level=outcome.level,
-            retries=retries,
+            retries=outcome.retries,
             events=outcome.events,
         )
 

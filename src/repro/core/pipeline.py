@@ -29,8 +29,7 @@ from repro.core.skeleton_prediction import (
 )
 from repro.eval.cost import TokenUsage
 from repro.eval.harness import TranslationResult, TranslationTask
-from repro.eval.timing import stage
-from repro.llm.degrade import best_effort_sql, retries_so_far, run_ladder
+from repro.llm.degrade import best_effort_sql, run_ladder
 from repro.llm.interface import LLM, LLMRequest
 from repro.llm.promptfmt import build_prompt, render_schema
 from repro.obs import runtime as obs
@@ -123,7 +122,6 @@ class Purple:
             self.automaton = AutomatonIndex.build(demo_sqls)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         obs.count("index.builds")
-        obs.observe("index.build_ms", elapsed_ms)
         self.index_stats = {
             "elapsed_ms": round(elapsed_ms, 3),
             "pool_size": len(demo_sqls),
@@ -151,7 +149,7 @@ class Purple:
         )
 
         # Step 1 — schema pruning.
-        with stage("prune"):
+        with obs.span("stage:prune"):
             if cfg.use_pruning:
                 schema = self.pruner.prune(task.question, task.database)
             else:
@@ -161,14 +159,14 @@ class Purple:
             )
 
         # Step 2 — skeleton prediction (or the oracle override).
-        with stage("skeleton"):
+        with obs.span("stage:skeleton"):
             skeletons = self._predict_skeletons(task, schema)
 
         # Step 3 — demonstration selection.  A request demoted straight
         # to the zero-shot rung never packs demonstrations, so shed
         # requests skip the selection work entirely — that saved compute
         # is the point of demotion.
-        with stage("select"):
+        with obs.span("stage:select"):
             if cfg.use_selection and skeletons and min_rung < self.max_demotion:
                 demo_order = select_demonstrations(
                     self.automaton, skeletons, cfg, rng=rng
@@ -239,18 +237,16 @@ class Purple:
             _half_budget_request,
             _zero_shot_request,
         ]
-        retries_before = retries_so_far(self.llm)
-        with stage("llm"):
+        with obs.span("stage:llm"):
             outcome = run_ladder(
                 self.llm, rungs[min_rung:], first_rung=min_rung
             )
-        retries = retries_so_far(self.llm) - retries_before
         if not outcome.ok:
             return TranslationResult(
                 sql=best_effort_sql(schema),
                 usage=TokenUsage(),
                 degradation_level=outcome.level,
-                retries=retries,
+                retries=outcome.retries,
                 best_effort=True,
                 events=outcome.events,
             )
@@ -260,7 +256,7 @@ class Purple:
         # Hallucinations are systematic per prompt, so without the repairs
         # the whole vote pool shares the defect — which is exactly why the
         # paper's -Database Adaption ablation costs mostly EX.
-        with stage("adapt"):
+        with obs.span("stage:adapt"):
             if cfg.use_adaption:
                 candidates = [
                     self.adapter.adapt(text, task.database).sql
@@ -287,7 +283,7 @@ class Purple:
         repair_rounds_used = 0
         repaired = False
         if self.repair is not None:
-            with stage("repair"):
+            with obs.span("stage:repair"):
                 compact_schema_text = render_schema(
                     task.database, schema, values_per_column=0
                 )
@@ -307,7 +303,7 @@ class Purple:
             sql=final,
             usage=usage,
             degradation_level=outcome.level,
-            retries=retries,
+            retries=outcome.retries,
             events=outcome.events,
             repair_rounds=repair_rounds_used,
             repaired=repaired,

@@ -30,7 +30,7 @@ from repro.eval.reporting import (
     telemetry_summary,
     to_csv,
 )
-from repro.eval.timing import RunTiming, TaskTiming, collect_stages, stage
+from repro.eval.timing import RunTiming
 from repro.eval.test_suite import (
     TestSuite,
     build_test_suite,
@@ -55,9 +55,6 @@ __all__ = [
     "evaluate_approach",
     "map_ordered",
     "RunTiming",
-    "TaskTiming",
-    "collect_stages",
-    "stage",
     "diagnostics_summary",
     "hardness_table",
     "markdown_table",

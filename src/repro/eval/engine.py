@@ -5,10 +5,9 @@ a thread pool, and returns results **in item order** — a parallel run
 produces exactly the sequence a serial run would, so reports stay
 byte-identical across worker counts.  Around each call the engine scopes
 the task's *lane* (see :mod:`repro.utils.context`), which task-scoped
-fault policies and other per-task state key on, and installs a stage
-collector so pipeline code instrumented with
-:func:`repro.eval.timing.stage` attributes its wall time to the right
-task.
+fault policies, per-task state and the task's spans key on, and times
+the call's wall latency.  Where the time went inside a task is the span
+tree's to record (``stage:<name>`` spans, when an observer is given).
 
 Threads (not processes) are the right pool here: a real provider
 round-trip releases the GIL while the worker waits on it.  With the
@@ -23,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import nullcontext
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.eval.timing import TaskTiming, collect_stages
 from repro.utils.context import task_lane
 
 
@@ -35,7 +33,8 @@ def map_ordered(
     lane_of: Optional[Callable] = None,
     observer=None,
 ) -> tuple:
-    """Apply ``fn`` to each item; return ``(results, timings)`` in item order.
+    """Apply ``fn`` to each item; return ``(results, latencies)`` in item
+    order, one wall latency in seconds per item.
 
     ``workers <= 1`` runs serially on the calling thread — the reference
     schedule.  With more workers the items are dispatched to a thread
@@ -56,23 +55,21 @@ def map_ordered(
     ]
 
     def run_one(index: int):
-        """Run one item under its lane/observer; returns (value, timing)."""
-        stages: dict = {}
+        """Run one item under its lane/observer; returns (value, latency)."""
         observed = (
             observer.task(lanes[index]) if observer is not None else nullcontext()
         )
         started = time.perf_counter()
-        with task_lane(lanes[index]), collect_stages(stages), observed:
+        with task_lane(lanes[index]), observed:
             value = fn(items[index])
-        latency = time.perf_counter() - started
-        return value, TaskTiming(ex_id=lanes[index], latency=latency, stages=stages)
+        return value, time.perf_counter() - started
 
     results: list = [None] * len(items)
-    timings: list = [None] * len(items)
+    latencies: list = [0.0] * len(items)
     if workers <= 1:
         for index in range(len(items)):
-            results[index], timings[index] = run_one(index)
-        return results, timings
+            results[index], latencies[index] = run_one(index)
+        return results, latencies
 
     with ThreadPoolExecutor(
         max_workers=workers, thread_name_prefix="repro-eval"
@@ -82,5 +79,5 @@ def map_ordered(
         }
         for future in as_completed(futures):
             index = futures[future]
-            results[index], timings[index] = future.result()
-    return results, timings
+            results[index], latencies[index] = future.result()
+    return results, latencies

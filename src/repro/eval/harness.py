@@ -24,9 +24,10 @@ from repro.eval.execution import (
     gold_executes,
 )
 from repro.eval.test_suite import TestSuite, build_test_suite
-from repro.eval.timing import RunTiming, stage
+from repro.eval.timing import RunTiming
 from repro.llm.errors import LLMError, failure_fields
 from repro.obs import runtime as obs
+from repro.obs.report import stage_totals
 from repro.obs.telemetry import RunTelemetry
 from repro.schema import Database, SQLiteExecutor, exception_text, make_executor
 from repro.spider.dataset import Dataset
@@ -112,8 +113,9 @@ class ExampleOutcome:
 class EvaluationReport:
     """Aggregated metrics for one (approach, dataset) run.
 
-    ``timing`` profiles the run (wall time, per-stage seconds, latency
-    percentiles) and ``telemetry`` rolls up what the wrapper stack did
+    ``timing`` profiles the run (wall time and latency percentiles, plus
+    per-stage seconds folded from the span tree when the run was
+    observed) and ``telemetry`` rolls up what the wrapper stack did
     (cache hits, retries, breaker openings, degradations) when the run
     was observed; both are deliberately separate from ``outcomes``,
     which stay byte-identical across worker counts and with telemetry
@@ -321,7 +323,7 @@ def evaluate_approach(
             )
         eval_error = None
         doomed = False
-        with stage("execute"):
+        with obs.span("stage:execute"):
             try:
                 if static_guard:
                     diagnostics = analyzers[example.db_id].analyze(result.sql)
@@ -352,7 +354,7 @@ def evaluate_approach(
                     ex_id=example.ex_id,
                     **fields,
                 )
-        with stage("score"):
+        with obs.span("stage:score"):
             em = exact_set_match(example.sql, result.sql)
             ts = None
             if (
@@ -394,9 +396,10 @@ def evaluate_approach(
 
     if observer is not None:
         _publish_index_stats(approach, observer)
+        traced_from = observer.tracer.now()
     started = time.perf_counter()
     try:
-        outcomes, task_timings = map_ordered(
+        outcomes, latencies = map_ordered(
             _evaluate_one,
             examples,
             workers=workers,
@@ -411,10 +414,17 @@ def evaluate_approach(
     report.timing = RunTiming(
         wall_time=time.perf_counter() - started,
         workers=max(workers, 1),
-        tasks=list(task_timings),
+        latencies=latencies,
     )
     if observer is not None:
         report.telemetry = observer.telemetry()
+        # Only this run's spans: an observer may be shared across runs.
+        lanes = {example.ex_id for example in examples}
+        report.timing.stages = stage_totals(
+            span.as_dict()
+            for span in observer.tracer.spans()
+            if span.lane in lanes and span.start >= traced_from
+        )
     return report
 
 

@@ -28,21 +28,23 @@ def performance_summary(report: EvaluationReport) -> dict:
     """Wall-clock profile of a run: throughput, latency, stage totals.
 
     Returns an empty dict for reports without timing (e.g. hand-built
-    ones); stage keys appear in canonical pipeline order.
+    ones).  Stage totals come from the run's ``stage:<name>`` spans, so
+    they are empty unless the run was observed; stage keys appear in
+    canonical pipeline order.
     """
     timing = report.timing
-    if timing is None or not timing.tasks:
+    if timing is None or not timing.latencies:
         return {}
     return {
         "workers": timing.workers,
-        "tasks": len(timing.tasks),
+        "tasks": len(timing.latencies),
         "wall_time_s": round(timing.wall_time, 4),
         "throughput_qps": round(timing.throughput(), 3),
         "latency_p50_s": round(timing.latency_percentile(50), 4),
         "latency_p95_s": round(timing.latency_percentile(95), 4),
         "stage_totals_s": {
             name: round(seconds, 4)
-            for name, seconds in timing.stage_totals().items()
+            for name, seconds in timing.stages.items()
         },
     }
 

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.llm.errors import LLMError, failure_fields, failure_label
 from repro.llm.interface import LLM, LLMRequest, LLMResponse
+from repro.llm.resilient import count_retries
 from repro.obs import runtime as obs
 
 
@@ -33,6 +34,9 @@ class LadderOutcome:
     level: int
     #: One ``"ErrorType@rung"`` entry per failed rung.
     events: tuple = ()
+    #: Provider retries the ladder's own calls made (see
+    #: :func:`~repro.llm.resilient.count_retries`).
+    retries: int = 0
 
     @property
     def ok(self) -> bool:
@@ -59,41 +63,42 @@ def run_ladder(
     degraded to the same rung under faults.
     """
     events: list = []
-    for level, make_request in enumerate(rungs, start=first_rung):
-        with obs.span("llm.rung", rung=level) as rung_span:
-            try:
-                response = llm.complete(make_request())
-            except LLMError as exc:
-                events.append(failure_label(exc, level))
-                if rung_span is not None:
-                    rung_span.attrs.update(failure_fields(exc))
-                obs.count("degrade.rung_failures")
-                obs.event(
-                    "degrade.rung_failed",
-                    level="warning",
-                    rung=level,
-                    **failure_fields(exc),
-                )
-                continue
-        obs.count("degrade.level", level=level)
-        if level > 0:
-            obs.event("degrade.answered_below_full", rung=level)
-        return LadderOutcome(response=response, level=level, events=tuple(events))
+    with count_retries() as tally:
+        for level, make_request in enumerate(rungs, start=first_rung):
+            with obs.span("llm.rung", rung=level) as rung_span:
+                try:
+                    response = llm.complete(make_request())
+                except LLMError as exc:
+                    events.append(failure_label(exc, level))
+                    if rung_span is not None:
+                        rung_span.attrs.update(failure_fields(exc))
+                    obs.count("degrade.rung_failures")
+                    obs.event(
+                        "degrade.rung_failed",
+                        level="warning",
+                        rung=level,
+                        **failure_fields(exc),
+                    )
+                    continue
+            obs.count("degrade.level", level=level)
+            if level > 0:
+                obs.event("degrade.answered_below_full", rung=level)
+            return LadderOutcome(
+                response=response,
+                level=level,
+                events=tuple(events),
+                retries=tally.retries,
+            )
     exhausted = first_rung + len(rungs)
     obs.count("degrade.level", level=exhausted)
     obs.count("degrade.exhausted")
     obs.event("degrade.exhausted", level="error", rungs=len(rungs))
-    return LadderOutcome(response=None, level=exhausted, events=tuple(events))
-
-
-def retries_so_far(llm: LLM) -> int:
-    """Cumulative provider retries a resilience wrapper has performed.
-
-    Zero for bare providers; callers snapshot before/after a ladder to
-    attribute retries to one translation.
-    """
-    stats = getattr(llm, "stats", None)
-    return getattr(stats, "retries", 0)
+    return LadderOutcome(
+        response=None,
+        level=exhausted,
+        events=tuple(events),
+        retries=tally.retries,
+    )
 
 
 def best_effort_sql(schema) -> str:

@@ -25,8 +25,10 @@ pass-through: one inner call, the inner response returned unchanged.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import Iterator, Optional, Protocol
 
 from repro.llm.errors import CircuitOpenError, LLMError, TruncatedCompletion
 from repro.llm.interface import LLM, LLMRequest, LLMResponse
@@ -202,6 +204,35 @@ class ResilienceStats:
     fallback_successes: int = 0
 
 
+@dataclass
+class RetryTally:
+    """Retries counted by one :func:`count_retries` block."""
+
+    retries: int = 0
+
+
+_TALLY: ContextVar[Optional[RetryTally]] = ContextVar(
+    "repro_retry_tally", default=None
+)
+
+
+@contextmanager
+def count_retries() -> Iterator[RetryTally]:
+    """Count the retries :class:`ResilientLLM` makes on this context
+    inside the block (the innermost open block counts them).
+
+    ``ResilienceStats.retries`` is shared by every thread calling one
+    wrapper; the tally is context-local, so with parallel workers each
+    task is charged only the retries of its own calls.
+    """
+    tally = RetryTally()
+    token = _TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _TALLY.reset(token)
+
+
 class ResilientLLM:
     """Retry + breaker + fallback around an inner LLM."""
 
@@ -247,51 +278,57 @@ class ResilientLLM:
                 stats.attempts += 1
                 self.stats.attempts += 1
                 obs.count("llm.attempts")
-                attempt_span = obs.start_span(
-                    "llm.attempt", attempt=stats.attempts
-                )
-                try:
-                    response = self.inner.complete(request)
-                except TruncatedCompletion:
-                    # Same-size retries cannot help; hand straight to the
-                    # degradation ladder.  Not a provider outage either, so
-                    # the breaker does not count it.
-                    obs.end_span(attempt_span, outcome="truncated")
-                    stats.outcome = "truncated"
-                    self.stats.failures += 1
-                    raise
-                except LLMError as exc:
-                    obs.end_span(attempt_span, outcome=type(exc).__name__)
-                    self.breaker.record_failure()
-                    last_error = exc
-                    if not exc.retryable:
-                        break
-                    if stats.attempts >= self.retry.max_attempts:
-                        break
-                    delay = self._next_delay(stats.attempts, exc, rng)
-                    if deadline is not None and (
-                        self.clock.monotonic() + delay > deadline
-                    ):
-                        stats.deadline_exhausted = True
-                        break
-                    self.clock.sleep(delay)
-                    stats.waits.append(delay)
-                    stats.retries += 1
-                    self.stats.retries += 1
-                    self.stats.total_wait += delay
-                    obs.count("llm.retries")
-                    obs.observe("llm.backoff_wait_s", delay)
-                    obs.event(
-                        "llm.retry",
-                        attempt=stats.attempts,
-                        error=type(exc).__name__,
-                        wait_s=round(delay, 4),
-                    )
-                else:
-                    obs.end_span(attempt_span, outcome="ok")
+                failure: Optional[LLMError] = None
+                with obs.span("llm.attempt", attempt=stats.attempts):
+                    try:
+                        response = self.inner.complete(request)
+                    except TruncatedCompletion:
+                        # Same-size retries cannot help; hand straight to
+                        # the degradation ladder.  Not a provider outage
+                        # either, so the breaker does not count it.
+                        obs.annotate(outcome="truncated")
+                        stats.outcome = "truncated"
+                        self.stats.failures += 1
+                        raise
+                    except LLMError as exc:
+                        obs.annotate(outcome=type(exc).__name__)
+                        failure = exc
+                    else:
+                        obs.annotate(outcome="ok")
+                if failure is None:
                     self.breaker.record_success()
                     stats.outcome = "ok"
                     return response
+                # The attempt span is closed: backoff waits belong to no
+                # attempt.
+                self.breaker.record_failure()
+                last_error = failure
+                if not failure.retryable:
+                    break
+                if stats.attempts >= self.retry.max_attempts:
+                    break
+                delay = self._next_delay(stats.attempts, failure, rng)
+                if deadline is not None and (
+                    self.clock.monotonic() + delay > deadline
+                ):
+                    stats.deadline_exhausted = True
+                    break
+                self.clock.sleep(delay)
+                stats.waits.append(delay)
+                stats.retries += 1
+                self.stats.retries += 1
+                self.stats.total_wait += delay
+                tally = _TALLY.get()
+                if tally is not None:
+                    tally.retries += 1
+                obs.count("llm.retries")
+                obs.observe("llm.backoff_wait_s", delay)
+                obs.event(
+                    "llm.retry",
+                    attempt=stats.attempts,
+                    error=type(failure).__name__,
+                    wait_s=round(delay, 4),
+                )
             if self.fallback is not None:
                 try:
                     response = self.fallback.complete(request)

@@ -26,9 +26,11 @@ fallback rescued a query; this package can:
   ``repro top`` dashboard.
 
 Everything hangs off one :class:`~repro.obs.runtime.Observer`; when none
-is active every instrumentation point is a single contextvar read (the
-same discipline as :func:`repro.eval.timing.stage`), and enabling
-telemetry never changes evaluation outcomes — only observes them.
+is active every instrumentation point is a single contextvar read, and
+enabling telemetry never changes evaluation outcomes — only observes
+them.  The span tree is the one record of where a task's time went: an
+observed run's per-stage totals are a fold over its ``stage:<name>``
+spans (:func:`repro.obs.report.stage_totals`).
 """
 
 from repro.obs.export import chrome_trace, read_trace, write_trace

@@ -21,6 +21,11 @@ from repro.obs.telemetry import RunTelemetry
 _BAR_WIDTH = 28
 _FLAME_DEPTH = 6
 
+#: Canonical stage names in pipeline order (others are allowed).
+STAGE_ORDER = (
+    "prune", "skeleton", "select", "llm", "adapt", "repair", "execute", "score"
+)
+
 
 def _duration(span: dict) -> float:
     end = span["end"] if span["end"] is not None else span["start"]
@@ -43,20 +48,34 @@ def _table(header: list, rows: list) -> str:
     return "\n".join(lines)
 
 
+def _stage_durations(spans) -> dict:
+    """``{stage: [seconds, ...]}`` over ``stage:<name>`` span dicts,
+    canonical stages first, in span order within a stage."""
+    by_stage: dict[str, list] = {}
+    for span in spans:
+        if span["name"].startswith("stage:"):
+            by_stage.setdefault(span["name"][len("stage:"):], []).append(
+                _duration(span)
+            )
+    ordered = {k: by_stage.pop(k) for k in STAGE_ORDER if k in by_stage}
+    ordered.update(sorted(by_stage.items()))
+    return ordered
+
+
+def stage_totals(spans) -> dict:
+    """Total seconds per stage over ``stage:<name>`` span dicts (the
+    JSONL form, :meth:`~repro.obs.trace.Span.as_dict`), canonical stages
+    first."""
+    return {
+        name: sum(durations)
+        for name, durations in _stage_durations(spans).items()
+    }
+
+
 def stage_profile(trace: TraceData) -> list:
     """Per-stage rows: name, count, total s, mean/p50/p95 ms."""
-    from repro.eval.timing import STAGE_ORDER
-
-    by_stage: dict[str, list] = {}
-    for span in trace.named("stage:"):
-        by_stage.setdefault(span["name"][len("stage:"):], []).append(
-            _duration(span)
-        )
-    ordered = [name for name in STAGE_ORDER if name in by_stage]
-    ordered += sorted(set(by_stage) - set(ordered))
     rows = []
-    for name in ordered:
-        durations = by_stage[name]
+    for name, durations in _stage_durations(trace.spans).items():
         rows.append(
             {
                 "stage": name,

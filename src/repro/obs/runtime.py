@@ -4,9 +4,10 @@ Instrumented code never holds a reference to a tracer or registry — it
 calls the module-level helpers (:func:`span`, :func:`count`,
 :func:`event`, ...) which consult one :class:`contextvars.ContextVar`.
 When no :class:`Observer` is active each helper is a single contextvar
-read followed by an immediate return, the same near-no-op discipline as
-:func:`repro.eval.timing.stage`, so shipping instrumentation in hot
-paths costs nothing when telemetry is off.
+read followed by an immediate return, so shipping instrumentation in hot
+paths costs nothing when telemetry is off.  :func:`span` is the one way
+to open a span: pipeline stages are ``stage:<name>`` spans, and the
+evaluation harness folds their durations into its per-stage totals.
 
 The engine activates an observer *per task* via :meth:`Observer.task`
 (contextvars are per-thread, so worker threads must install it inside
@@ -100,23 +101,6 @@ def span(name: str, **attrs) -> Iterator[Optional[Span]]:
         yield opened
     finally:
         observer.tracer.end_span(opened)
-
-
-def start_span(name: str, **attrs) -> Optional[Span]:
-    """Imperative twin of :func:`span` for pre-existing try/finally shapes."""
-    observer = _OBSERVER.get()
-    if observer is None:
-        return None
-    return observer.tracer.start_span(name, **attrs)
-
-
-def end_span(opened: Optional[Span], **attrs) -> None:
-    """Close a span from :func:`start_span` (no-op on None)."""
-    if opened is None:
-        return
-    observer = _OBSERVER.get()
-    if observer is not None:
-        observer.tracer.end_span(opened, **attrs)
 
 
 def annotate(**attrs) -> None:

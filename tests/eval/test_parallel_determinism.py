@@ -1,16 +1,23 @@
 """Parallel evaluation is byte-identical to serial — the engine's core
 contract, including under injected faults and the full wrapper stack."""
 
+import threading
+
 from repro import api
+from repro.baselines.zero_few import ZeroShotSQL
 from repro.eval import evaluate_approach
 from repro.llm import (
     CachingLLM,
+    FakeClock,
     FaultPolicy,
     FaultyLLM,
     MockLLM,
     PromptCache,
+    RateLimitError,
+    ResilientLLM,
     CHATGPT,
 )
+from repro.obs import Observer
 
 LIMIT = 24
 
@@ -74,14 +81,46 @@ class TestParallelDeterminism:
     def test_timing_reflects_worker_count(self, train_set, dev_set):
         report = evaluate_approach(
             purple(train_set, MockLLM(CHATGPT, seed=2)),
-            dev_set, limit=8, workers=3,
+            dev_set, limit=8, workers=3, observer=Observer(),
         )
         assert report.timing.workers == 3
-        assert len(report.timing.tasks) == len(report.outcomes)
+        assert len(report.timing.latencies) == len(report.outcomes)
         assert report.timing.wall_time > 0.0
-        totals = report.timing.stage_totals()
+        totals = report.timing.stages
         for name in ("prune", "skeleton", "select", "llm", "adapt", "execute"):
             assert name in totals
+
+    def test_retries_charged_to_their_own_task(self, dev_set):
+        """Two tasks whose provider calls overlap: each is charged only
+        the one retry its own call made, not the other task's."""
+
+        class LockstepLLM:
+            """Fails each thread's first call; every call waits for the
+            other worker's, so both retries happen while both tasks run."""
+
+            name = "lockstep"
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.barrier = threading.Barrier(2, timeout=30)
+                self.seen = threading.local()
+
+            def complete(self, request):
+                self.barrier.wait()
+                if not getattr(self.seen, "failed", False):
+                    self.seen.failed = True
+                    raise RateLimitError()
+                return self.inner.complete(request)
+
+        llm = ResilientLLM(
+            LockstepLLM(MockLLM(CHATGPT, seed=2)), clock=FakeClock()
+        )
+        report = evaluate_approach(
+            ZeroShotSQL(llm), dev_set, limit=2, workers=2
+        )
+        assert llm.stats.retries == 2
+        assert [o.retries for o in report.outcomes] == [1, 1]
+        assert all(o.answered for o in report.outcomes)
 
     def test_task_scoped_fault_schedule_is_per_lane(self):
         from repro.llm.faults import fault_schedule

@@ -2,14 +2,26 @@
 
 import pytest
 
-from repro.eval import EvaluationReport, ExampleOutcome, TokenUsage
+from repro import api
+from repro.baselines.zero_few import ZeroShotSQL
+from repro.eval import (
+    EvaluationReport,
+    ExampleOutcome,
+    TokenUsage,
+    evaluate_approach,
+)
 from repro.eval.reporting import (
     hardness_table,
     markdown_table,
+    performance_summary,
+    performance_table,
     save_csv,
     summary_rows,
     to_csv,
 )
+from repro.llm import CHATGPT, MockLLM
+from repro.obs import Observer, read_trace, write_trace
+from repro.obs.report import stage_profile
 
 
 @pytest.fixture
@@ -104,3 +116,55 @@ class TestResilienceColumns:
         table = markdown_table({"faulty": report}, include_resilience=True)
         assert " availability " in table.splitlines()[0]
         assert "50.0%" in table  # availability rendered as a percentage
+
+
+class TestStageTotals:
+    def test_report_and_trace_fold_the_same_spans(
+        self, train_set, dev_set, tmp_path
+    ):
+        """An observed run's stage totals equal `repro report`'s stage
+        profile over the same observer's exported trace."""
+        approach = api.create(
+            "purple", llm=MockLLM(CHATGPT, seed=2), train=train_set,
+            consistency_n=3,
+        )
+        observer = Observer()
+        report = evaluate_approach(
+            approach, dev_set, limit=6, workers=2, observer=observer
+        )
+        approach.close()
+        path = tmp_path / "run.jsonl"
+        write_trace(observer, path)
+        profile = {
+            row["stage"]: row["total_s"]
+            for row in stage_profile(read_trace(path))
+        }
+        totals = performance_summary(report)["stage_totals_s"]
+        assert {"prune", "llm", "execute", "score"} <= set(totals)
+        assert totals == profile
+
+    def test_shared_observer_counts_each_run_once(self, dev_set):
+        observer = Observer()
+        approach = ZeroShotSQL(MockLLM(CHATGPT, seed=2))
+        first, second = (
+            evaluate_approach(approach, dev_set, limit=3, observer=observer)
+            for _ in range(2)
+        )
+        score_spans = [
+            s for s in observer.tracer.spans() if s.name == "stage:score"
+        ]
+        assert len(score_spans) == 6
+        assert first.timing.stages["score"] + second.timing.stages[
+            "score"
+        ] == pytest.approx(sum(s.duration for s in score_spans), abs=1e-5)
+
+    def test_unobserved_report_has_no_stages(self, dev_set):
+        report = evaluate_approach(
+            ZeroShotSQL(MockLLM(CHATGPT, seed=2)), dev_set, limit=3
+        )
+        assert report.timing.stages == {}
+        assert performance_summary(report)["stage_totals_s"] == {}
+        table = performance_table(report).splitlines()
+        assert len(table) == 3
+        assert "stage:" not in table[0]
+        assert "throughput_qps" in table[0]

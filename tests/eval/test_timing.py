@@ -2,18 +2,11 @@
 
 import pytest
 
-from repro.eval.timing import RunTiming, TaskTiming
+from repro.eval.timing import RunTiming
 
 
 def timing(latencies):
-    return RunTiming(
-        workers=1,
-        wall_time=sum(latencies),
-        tasks=[
-            TaskTiming(ex_id=str(i), latency=value, stages={})
-            for i, value in enumerate(latencies)
-        ],
-    )
+    return RunTiming(workers=1, wall_time=sum(latencies), latencies=latencies)
 
 
 class TestLatencyPercentile:

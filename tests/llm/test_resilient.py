@@ -9,6 +9,7 @@ import pytest
 
 from repro.llm import (
     BreakerPolicy,
+    CachingLLM,
     CircuitBreaker,
     CircuitOpenError,
     FakeClock,
@@ -20,6 +21,8 @@ from repro.llm import (
     ServerError,
     TruncatedCompletion,
 )
+from repro.llm.degrade import run_ladder
+from repro.obs import Observer
 from repro.utils.rng import derive_rng
 
 
@@ -182,6 +185,52 @@ class TestRetryOutcomes:
         assert llm.last_stats.fallback_used
         assert llm.last_stats.outcome == "fallback"
         assert llm.stats.fallback_successes == 1
+
+
+class TestAttemptSpans:
+    def test_attempt_spans_carry_their_outcome(self):
+        """One closed `llm.attempt` span per provider attempt, tagged
+        `ok`, `truncated`, or the error type."""
+        llm = ResilientLLM(
+            FlakyLLM([ServerError(), RateLimitError()]), clock=FakeClock()
+        )
+        truncating = ResilientLLM(
+            FlakyLLM([TruncatedCompletion(partial_text="SEL")]),
+            clock=FakeClock(),
+        )
+        observer = Observer()
+        with observer.activate():
+            llm.complete(request())
+            with pytest.raises(TruncatedCompletion):
+                truncating.complete(request())
+        attempts = [
+            s for s in observer.tracer.spans() if s.name == "llm.attempt"
+        ]
+        assert [s.attrs for s in attempts] == [
+            {"attempt": 1, "outcome": "ServerError"},
+            {"attempt": 2, "outcome": "RateLimitError"},
+            {"attempt": 3, "outcome": "ok"},
+            {"attempt": 1, "outcome": "truncated"},
+        ]
+        assert all(s.end is not None for s in attempts)
+        assert observer.tracer.current_span() is None
+
+
+class TestRetryAttribution:
+    def test_wrapped_resilient_llm_charges_the_task(self):
+        """A `ResilientLLM` anywhere under the approach's LLM (here under
+        a `CachingLLM`) adds its retries to the ladder's own count."""
+        llm = CachingLLM(
+            ResilientLLM(
+                FlakyLLM([ServerError(), RateLimitError()]),
+                clock=FakeClock(),
+            )
+        )
+        outcome = run_ladder(llm, [request])
+        assert outcome.ok
+        assert outcome.retries == 2
+        # A cache hit makes no provider call and so no retry.
+        assert run_ladder(llm, [request]).retries == 0
 
 
 class TestCircuitBreaker:

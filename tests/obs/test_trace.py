@@ -22,7 +22,6 @@ from repro.obs import (
     span,
     write_trace,
 )
-from repro.obs.runtime import end_span, start_span
 from repro.obs.trace import GLOBAL_LANE
 from repro.utils.context import task_lane
 
@@ -95,8 +94,6 @@ class TestRuntimeHelpers:
         assert current_observer() is None
         with span("anything") as s:
             assert s is None
-        assert start_span("x") is None
-        end_span(None)  # must not raise
         annotate(k=1)
         count("c")
         gauge("g", 1.0)
@@ -125,15 +122,6 @@ class TestRuntimeHelpers:
             with span("train") as s:
                 assert s.lane == GLOBAL_LANE
         assert obs.metrics.snapshot().counter("warmup") == 1
-
-    def test_imperative_start_end(self):
-        obs = Observer()
-        with obs.activate():
-            s = start_span("stage:parse")
-            end_span(s, outcome="ok")
-        [recorded] = obs.tracer.spans()
-        assert recorded.attrs["outcome"] == "ok"
-        assert recorded.end is not None
 
     def test_event_records_lane_from_span(self):
         obs = Observer()

@@ -220,8 +220,8 @@ class TestRepairDeterminism:
     @staticmethod
     def _shape(report, observer):
         outcomes = [
-            (o.ex_id, o.predicted_sql, o.em, o.ex, o.repair_rounds,
-             o.repaired)
+            (o.ex_id, o.predicted_sql, o.em, o.ex, o.retries,
+             o.repair_rounds, o.repaired)
             for o in report.outcomes
         ]
         spans = [

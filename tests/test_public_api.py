@@ -1,12 +1,19 @@
 """The documented top-level API must exist and work end to end."""
 
 import repro
+import repro.eval
+import repro.llm
+import repro.obs
 
 
 class TestPublicAPI:
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name, None) is not None, name
+        # A name left in an ``__all__`` after its deletion fails here.
+        for module in (repro, repro.eval, repro.obs, repro.llm):
+            for name in module.__all__:
+                assert getattr(module, name, None) is not None, (
+                    f"{module.__name__}.{name}"
+                )
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
