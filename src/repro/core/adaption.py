@@ -28,7 +28,6 @@ from repro.sqlkit.ast_nodes import (
     BinaryOp,
     ColumnRef,
     Comparison,
-    FromClause,
     FuncCall,
     JoinedTable,
     Query,

@@ -21,7 +21,6 @@ from repro.sqlkit.ast_nodes import (
     BetweenExpr,
     ColumnRef,
     Comparison,
-    FromClause,
     InExpr,
     LikeExpr,
     Literal,
@@ -31,7 +30,6 @@ from repro.sqlkit.ast_nodes import (
     Subquery,
     SubquerySource,
     TableRef,
-    walk,
 )
 from repro.sqlkit.errors import SQLError
 from repro.sqlkit.parser import parse_sql

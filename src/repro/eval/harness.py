@@ -23,7 +23,7 @@ from repro.eval.execution import (
     execution_match,
     gold_executes,
 )
-from repro.eval.test_suite import TestSuite, build_test_suite
+from repro.eval.test_suite import build_test_suite
 from repro.eval.timing import RunTiming
 from repro.llm.errors import LLMError, failure_fields
 from repro.obs import runtime as obs

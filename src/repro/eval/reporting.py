@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Optional
 
 from repro.eval.harness import HARDNESS_ORDER, EvaluationReport
 

@@ -20,7 +20,6 @@ from repro.schema.model import Schema
 from repro.sqlkit.ast_nodes import (
     Agg,
     Comparison,
-    InExpr,
     Query,
     clone,
     walk,

@@ -17,7 +17,6 @@ from repro.llm.promptfmt import SchemaInfo
 from repro.sqlkit.ast_nodes import (
     Agg,
     ColumnRef,
-    FromClause,
     FuncCall,
     Literal,
     Query,

@@ -14,6 +14,9 @@ Everything is deterministic given (seed, prompt, sample index).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +31,17 @@ from repro.spider.archetypes import BUILD_ERRORS, archetype_by_kind
 from repro.spider.blueprint import ColumnBlueprint
 from repro.spider.intents import IntentSpec
 from repro.sqlkit.abstraction import abstract_tokens
+from repro.sqlkit.ast_nodes import (
+    Agg,
+    BetweenExpr,
+    BoolOp,
+    ColumnRef,
+    Comparison,
+    Literal,
+    SelectCore,
+    clone,
+    walk,
+)
 from repro.sqlkit.errors import SQLError
 from repro.sqlkit.render import render_sql
 from repro.sqlkit.skeleton import skeleton_tokens
@@ -92,8 +106,9 @@ class MockLLM:
                 prompt_tokens=prompt_tokens,
                 output_tokens=2 * max(request.n, 1),
             )
-        demo_skeletons = self._demo_skeletons(parsed)
+        demo_skeletons = _demo_skeletons(parsed)
         effects = _instruction_effects(parsed.instructions)
+        task_cues = convention_cues(parsed.task_question)
         base = stable_hash(self.seed, request.prompt)
         # Hallucination is systematic: a model that misreads the schema
         # misreads it in every sample of the same prompt, so the trigger is
@@ -111,12 +126,18 @@ class MockLLM:
             # report suppresses the systematic misread.  The draw above
             # still happens so the rng stream is identical either way.
             hallucinate = False
+        # The candidate distribution depends only on (prompt, intent), and
+        # the n samples of one prompt read few distinct intents, so each is
+        # built once per call.  The memo is local to this call: serve
+        # threads and evaluation workers share one MockLLM.
+        distributions: dict = {}
         texts = []
         for i in range(max(request.n, 1)):
             rng = derive_rng(base, "sample", i)
             texts.append(
                 self._one_sample(
-                    parsed, demo_skeletons, effects, rng, i, hallucinate
+                    parsed, demo_skeletons, effects, task_cues, distributions,
+                    rng, i, hallucinate,
                 )
             )
         output_tokens = sum(count_tokens(t) for t in texts)
@@ -131,6 +152,8 @@ class MockLLM:
         parsed: ParsedPrompt,
         demo_skeletons: list,
         effects: dict,
+        task_cues: frozenset,
+        distributions: dict,
         rng: np.random.Generator,
         sample_index: int,
         hallucinate: bool = False,
@@ -151,29 +174,41 @@ class MockLLM:
             tables = parsed.task_schema.table_names()
             table = tables[0] if tables else "unknown"
             return f"SELECT * FROM {table}"
-        sql_query = self._realize(
-            intent, parsed.task_schema, demo_skeletons, effects, rng,
-            task_cues=convention_cues(parsed.task_question),
-        )
-        if sql_query is None:
+        key = repr(intent)
+        if key not in distributions:
+            distributions[key] = self._distribution(
+                intent, parsed.task_schema, demo_skeletons, effects, task_cues
+            )
+        candidates, probs = distributions[key]
+        if not candidates:
             return f"SELECT * FROM {intent.table}"
+        if len(candidates) == 1:
+            sql_query = candidates[0]
+        else:
+            sql_query = candidates[int(rng.choice(len(candidates), p=probs))]
         if hallucinate:
             sql_query, _ = inject_hallucination(sql_query, parsed.task_schema, rng)
         return render_sql(sql_query)
 
-    def _realize(
+    def _distribution(
         self,
         intent: IntentSpec,
         schema: SchemaInfo,
         demo_skeletons: list,
         effects: dict,
-        rng: np.random.Generator,
-        task_cues: frozenset = frozenset(),
-    ):
+        task_cues: frozenset,
+    ) -> tuple:
+        """``(candidates, probs)``: the queries this model may write for
+        ``intent`` and their probabilities.
+
+        A pure function of the prompt and the intent; no randomness is
+        drawn here.  ``probs`` is None when there are fewer than two
+        candidates, since then no draw is made.
+        """
         try:
             archetype = archetype_by_kind(intent.kind)
         except KeyError:
-            return None
+            return (), None
         ctx = PromptContext(schema)
         base_candidates = []
         for realization in archetype.candidate_realizations(intent):
@@ -183,7 +218,7 @@ class MockLLM:
                 continue
             base_candidates.append((realization, query))
         if not base_candidates:
-            return None
+            return (), None
         realization_weights = dict(
             zip(
                 [r for r, _ in base_candidates],
@@ -206,7 +241,7 @@ class MockLLM:
                 candidates.append(styled)
                 weights.append(w * style_p)
         if len(candidates) == 1:
-            return candidates[0]
+            return tuple(candidates), None
         # Demonstrations act as evidence multiplying the prior: an exact
         # keywords-level skeleton match is near-decisive, a structure-level
         # match a moderate nudge, and earlier (higher-priority)
@@ -224,9 +259,7 @@ class MockLLM:
             probs = probs ** 0.4
             boosts = 1.0 + (boosts - 1.0) * 0.35
         probs = probs * boosts
-        probs = probs / probs.sum()
-        chosen = int(rng.choice(len(candidates), p=probs))
-        return candidates[chosen]
+        return tuple(candidates), probs / probs.sum()
 
     def _style_variants(self, query, effects: dict) -> list:
         """Enumerate stylistic variants of one realization with priors.
@@ -339,23 +372,49 @@ class MockLLM:
             boosts[idx] += follow * strength * (1.0 + 0.1 * min(extra_matches, 5))
         return boosts
 
-    def _demo_skeletons(self, parsed: ParsedPrompt) -> list:
-        skeletons = []
-        for demo in parsed.demos:
-            if not demo.sql:
-                continue
-            try:
-                tokens = skeleton_tokens(demo.sql)
-            except SQLError:
-                continue
-            skeletons.append(
-                (
-                    abstract_tokens(tokens, 2),
-                    abstract_tokens(tokens, 3),
-                    convention_cues(demo.question),
-                )
-            )
-        return skeletons
+def _demo_skeletons(parsed: ParsedPrompt) -> list:
+    """``(keywords, structure, cues)`` of each demonstration whose SQL
+    tokenizes, in prompt order."""
+    skeletons = []
+    for demo in parsed.demos:
+        if not demo.sql:
+            continue
+        skeleton = _demo_skeleton(demo.sql, demo.question)
+        if skeleton is not None:
+            skeletons.append(skeleton)
+    return skeletons
+
+
+@lru_cache(maxsize=8192)
+def _demo_skeleton(sql: str, question: str) -> Optional[tuple]:
+    """Keywords- and structure-level skeletons of one demonstration plus
+    its question's convention cues, or None when the SQL does not
+    tokenize.  Cached because prompts share demonstrations: PURPLE draws
+    every prompt's demonstrations from one training pool, so most of a
+    prompt's demonstrations already appeared in an earlier prompt."""
+    try:
+        tokens = skeleton_tokens(sql)
+    except SQLError:
+        return None
+    return (
+        abstract_tokens(tokens, 2),
+        abstract_tokens(tokens, 3),
+        convention_cues(question),
+    )
+
+
+# Boundary comparison → (off-by-one operator, literal shift).
+_BOUNDARY_SHIFTS = {">=": (">", -1), "<=": ("<", 1), ">": (">=", 1), "<": ("<=", -1)}
+
+
+def _shiftable(node) -> bool:
+    return (
+        isinstance(node, Comparison)
+        and node.op in _BOUNDARY_SHIFTS
+        and isinstance(node.left, ColumnRef)
+        and isinstance(node.right, Literal)
+        and isinstance(node.right.value, int)
+    )
 
 
 def _shift_boundaries(query):
@@ -366,78 +425,58 @@ def _shift_boundaries(query):
     ``HAVING COUNT(*) >= n`` are realization-level choices already and are
     left alone).
     """
-    from repro.sqlkit.ast_nodes import ColumnRef, Comparison, Literal, clone, walk
-
+    if not any(_shiftable(node) for node in walk(query)):
+        return None
     shifted = clone(query)
-    changed = False
     for node in walk(shifted):
-        if not isinstance(node, Comparison):
-            continue
-        if not isinstance(node.left, ColumnRef):
-            continue
-        right = node.right
-        if not (isinstance(right, Literal) and isinstance(right.value, int)):
-            continue
-        if node.op == ">=":
-            node.op, right.value = ">", right.value - 1
-        elif node.op == "<=":
-            node.op, right.value = "<", right.value + 1
-        elif node.op == ">":
-            node.op, right.value = ">=", right.value + 1
-        elif node.op == "<":
-            node.op, right.value = "<=", right.value - 1
-        else:
-            continue
-        changed = True
-    return shifted if changed else None
+        if _shiftable(node):
+            op, delta = _BOUNDARY_SHIFTS[node.op]
+            node.op, node.right.value = op, node.right.value + delta
+    return shifted
 
 
 def _decompose_between(query):
     """Rewrite the first ``BETWEEN a AND b`` into ``>= a AND <= b``."""
-    from repro.sqlkit.ast_nodes import (
-        BetweenExpr,
-        BoolOp,
-        Comparison,
-        SelectCore,
-        clone,
-        walk,
-    )
-
-    shifted = clone(query)
-    for node in walk(shifted):
+    for position, node in enumerate(walk(query)):
         if not isinstance(node, SelectCore) or node.where is None:
             continue
         target = node.where
-        if isinstance(target, BetweenExpr) and not target.negated:
-            node.where = BoolOp(
-                op="AND",
-                terms=[
-                    Comparison(op=">=", left=target.left, right=target.low),
-                    Comparison(op="<=", left=clone(target.left), right=target.high),
-                ],
-            )
-            return shifted
+        if _decomposable(target):
+            return _split_between(query, position, None)
         if isinstance(target, BoolOp):
             for i, term in enumerate(target.terms):
-                if isinstance(term, BetweenExpr) and not term.negated:
-                    target.terms[i] = Comparison(
-                        op=">=", left=term.left, right=term.low
-                    )
-                    target.terms.insert(
-                        i + 1,
-                        Comparison(op="<=", left=clone(term.left), right=term.high),
-                    )
-                    if target.op == "AND":
-                        return shifted
+                if _decomposable(term):
                     # Inside OR the decomposition needs nesting; skip.
-                    return None
+                    if target.op != "AND":
+                        return None
+                    return _split_between(query, position, i)
     return None
+
+
+def _decomposable(node) -> bool:
+    return isinstance(node, BetweenExpr) and not node.negated
+
+
+def _split_between(query, position: int, term_index: Optional[int]):
+    """Clone ``query`` and split the BETWEEN in the WHERE of its
+    ``position``-th node (pre-order): the whole WHERE when ``term_index``
+    is None, else that term of its AND."""
+    shifted = clone(query)
+    core = next(islice(walk(shifted), position, None))
+    between = core.where if term_index is None else core.where.terms[term_index]
+    bounds = [
+        Comparison(op=">=", left=between.left, right=between.low),
+        Comparison(op="<=", left=clone(between.left), right=between.high),
+    ]
+    if term_index is None:
+        core.where = BoolOp(op="AND", terms=bounds)
+    else:
+        core.where.terms[term_index:term_index + 1] = bounds
+    return shifted
 
 
 def _spurious_distinct(query):
     """Add a DISTINCT the gold does not have (plain column projections only)."""
-    from repro.sqlkit.ast_nodes import Agg, clone
-
     core = query.core
     if core.distinct or core.group_by or core.limit is not None:
         return None

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -83,12 +84,14 @@ def _match(pattern: str, text: str):
 
 
 class Understander:
-    """Question + prompt schema → intent, with profile-dependent noise."""
+    """Question + prompt schema → intent, with profile-dependent noise.
+
+    Holds only its profile, so one instance can serve concurrent callers:
+    each call reads the question with its own noise scale.
+    """
 
     def __init__(self, profile: LLMProfile):
         self.profile = profile
-
-    # -- public API --------------------------------------------------------------
 
     def understand(
         self,
@@ -98,8 +101,20 @@ class Understander:
         noise_scale: float = 1.0,
     ) -> Understanding:
         """Parse the question into an intent, with profile noise."""
+        return _Reading(self.profile, noise_scale).understand(question, schema, rng)
+
+
+class _Reading:
+    """One reading of one question: the profile at one noise scale."""
+
+    def __init__(self, profile: LLMProfile, noise: float):
+        self.profile = profile
+        self.noise = noise
+
+    def understand(
+        self, question: str, schema: SchemaInfo, rng: np.random.Generator
+    ) -> Understanding:
         text = question.strip().rstrip("?")
-        self._noise = noise_scale
         try:
             intent = self._dispatch(text, schema, rng)
         except _LinkError:
@@ -596,7 +611,7 @@ class Understander:
         tables = schema.table_names()
         if not tables:
             return None
-        scores = [self._table_score(text, t) for t in tables]
+        scores = [_table_score(text, t) for t in tables]
         table = tables[int(np.argmax(scores))]
         column = self._guess_display_column(table, schema, rng)
         if column is None:
@@ -612,7 +627,7 @@ class Understander:
         candidates = [phrase] + lookup_synonym(phrase, self.profile.synonym_coverage)
         best, best_score, runner = None, 0.0, None
         for table in schema.table_names():
-            score = max(self._phrase_score(c, table) for c in candidates)
+            score = max(_phrase_score(c, table) for c in candidates)
             if score > best_score:
                 best, best_score, runner = table, score, best
             elif best is not None and score == best_score:
@@ -626,23 +641,6 @@ class Understander:
                 raise _LinkError
             return str(tables[int(rng.integers(0, len(tables)))])
         return best
-
-    def _table_score(self, text: str, table: str) -> float:
-        words = {singularize(w) for w in split_words(text)}
-        t_words = [singularize(w) for w in split_words(table)]
-        if not t_words:
-            return 0.0
-        return sum(1 for w in t_words if w in words) / len(t_words)
-
-    def _phrase_score(self, phrase: str, identifier: str) -> float:
-        p_words = [singularize(w) for w in split_words(phrase)]
-        i_words = [singularize(w) for w in split_words(identifier)]
-        if not p_words or not i_words:
-            return 0.0
-        if p_words == i_words:
-            return 1.0
-        common = set(p_words) & set(i_words)
-        return len(common) / max(len(p_words), len(i_words))
 
     def _link_column(
         self,
@@ -660,7 +658,7 @@ class Understander:
             else schema.all_columns()
         )
         for tbl, col in search:
-            score = max(self._phrase_score(c, col.name) for c in candidates)
+            score = max(_phrase_score(c, col.name) for c in candidates)
             if score > 0:
                 scored.append((score, tbl, col.name))
         if not scored or scored[0][0] < 0.34:
@@ -675,7 +673,7 @@ class Understander:
         best = scored[0]
         # Lexical near-ties trigger confusion; more distractors, more ties.
         ties = [s for s in scored[1:] if best[0] - s[0] <= 0.25]
-        confusion = min(1.0, self.profile.column_confusion * self._noise)
+        confusion = min(1.0, self.profile.column_confusion * self.noise)
         if ties and rng.random() < confusion:
             pick = ties[int(rng.integers(0, len(ties)))]
             return pick[2]
@@ -761,7 +759,7 @@ class Understander:
     ) -> list:
         """Ground raw filter matches to table.column, with noise."""
         filters = []
-        miss = min(1.0, self.profile.filter_miss * self._noise)
+        miss = min(1.0, self.profile.filter_miss * self.noise)
         for raw in raw_filters:
             if rng.random() < miss:
                 continue  # the model simply overlooks the predicate
@@ -805,7 +803,7 @@ class Understander:
             return self._guess_dk_filter(phrase, tables, schema, rng)
         for tbl in tables:
             for col in schema.columns_of(tbl):
-                if self._phrase_score(fact.column_phrase, col.name) >= 0.99:
+                if _phrase_score(fact.column_phrase, col.name) >= 0.99:
                     return FilterSpec(
                         table=tbl,
                         column=col.name,
@@ -853,7 +851,7 @@ class Understander:
         value = raw["value"]
         if value is None:
             return None
-        skill = self.profile.value_link_skill / max(self._noise, 1.0)
+        skill = self.profile.value_link_skill / max(self.noise, 1.0)
         candidates = []
         for tbl in tables:
             for col in schema.columns_of(tbl):
@@ -891,6 +889,34 @@ class Understander:
             if t2 == child and t1 == parent:
                 return [t2, c2, t1, c1]
         return None
+
+
+# The two lexical scores are pure in their strings.  Each of a call's n
+# samples re-reads the same question against the same schema, so nearly
+# every lookup after the first sample's is a hit.
+
+
+@lru_cache(maxsize=16384)
+def _table_score(text: str, table: str) -> float:
+    """Share of the table name's words that occur in ``text``."""
+    words = {singularize(w) for w in split_words(text)}
+    t_words = [singularize(w) for w in split_words(table)]
+    if not t_words:
+        return 0.0
+    return sum(1 for w in t_words if w in words) / len(t_words)
+
+
+@lru_cache(maxsize=16384)
+def _phrase_score(phrase: str, identifier: str) -> float:
+    """Word overlap of a question phrase and a schema identifier (1 = same)."""
+    p_words = [singularize(w) for w in split_words(phrase)]
+    i_words = [singularize(w) for w in split_words(identifier)]
+    if not p_words or not i_words:
+        return 0.0
+    if p_words == i_words:
+        return 1.0
+    common = set(p_words) & set(i_words)
+    return len(common) / max(len(p_words), len(i_words))
 
 
 _CLAUSE_STARTER = re.compile(

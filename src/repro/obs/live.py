@@ -33,7 +33,7 @@ and burn rates with :class:`~repro.llm.resilient.FakeClock`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from threading import Lock
 from typing import Callable, Optional
 

@@ -9,11 +9,9 @@ from __future__ import annotations
 from repro.schema import Schema
 from repro.sqlkit.ast_nodes import (
     ColumnRef,
-    FromClause,
     Query,
     SubquerySource,
     TableRef,
-    walk,
 )
 from repro.sqlkit.errors import SQLError
 from repro.sqlkit.parser import parse_sql

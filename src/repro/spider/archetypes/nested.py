@@ -12,10 +12,8 @@ from typing import Optional
 
 from repro.spider.archetypes.base import (
     Archetype,
-    DomainContext,
     colref,
     filter_phrase,
-    joined_from,
     projection_items,
     simple_query,
     single_from,

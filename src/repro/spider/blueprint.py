@@ -19,7 +19,7 @@ Data generation is tuned for the evaluation's needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np

@@ -1,5 +1,7 @@
 """Behavioural tests for the simulated LLM."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,150 @@ class TestProfiles:
         assert GPT4.column_confusion < CHATGPT.column_confusion
         assert GPT4.hallucination_rate < CHATGPT.hallucination_rate
         assert GPT4.synonym_coverage > CHATGPT.synonym_coverage
+
+
+class TestThreadSafety:
+    QUESTIONS = (
+        "How many players are there?",
+        "What are the name of players whose age is greater than 20?",
+        "Show the name of players whose goal count is between 3 and 9?",
+        "Which teams do not have any players? Show their city?",
+        "Which team has the most players? Show its name?",
+        "What is the name of the player with the highest goal count?",
+    )
+
+    def test_shared_instance_matches_serial_calls(self, db):
+        # repro serve threads and evaluate(workers>1) share one MockLLM:
+        # every per-call value must stay call-local.
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.llm.mock_llm import _demo_skeleton
+        from repro.llm.understanding import _phrase_score, _table_score
+
+        demo = render_demo(
+            render_schema(db), "Which teams have no players at all?",
+            "SELECT city FROM team WHERE id NOT IN (SELECT team_id FROM player)",
+        )
+        # Each question with and without the demonstration: the same
+        # intent then has two different candidate distributions.
+        prompts = [
+            build_prompt(render_schema(db), q, demos=demos)
+            for q in self.QUESTIONS
+            for demos in ([], [demo])
+        ]
+        llm = MockLLM(CHATGPT, seed=4)
+
+        def texts(prompt):
+            return llm.complete(LLMRequest(prompt=prompt, n=8)).texts
+
+        serial = [texts(p) for p in prompts]
+        for cached in (_demo_skeleton, _phrase_score, _table_score):
+            cached.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(texts, prompts * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 4
+
+
+def _immutable(value) -> bool:
+    if isinstance(value, (tuple, frozenset)):
+        return all(_immutable(v) for v in value)
+    return value is None or isinstance(value, (str, int, float))
+
+
+class TestCachedHelpers:
+    """Cached entries are shared by every caller, so they must be frozen,
+    and every cache must be bounded."""
+
+    def test_demo_skeleton_is_immutable(self):
+        from repro.llm.mock_llm import _demo_skeleton
+
+        skeleton = _demo_skeleton(
+            "SELECT name FROM player WHERE age >= 30",
+            "What are the name of players whose age is at least 30?",
+        )
+        keywords, structure, cues = skeleton
+        assert isinstance(keywords, tuple) and isinstance(structure, tuple)
+        assert isinstance(cues, frozenset) and cues
+        assert _immutable(skeleton)
+        assert _demo_skeleton("SELECT 'unterminated", "q?") is None
+
+    def test_scores_are_floats(self):
+        from repro.llm.understanding import _phrase_score, _table_score
+
+        assert _phrase_score("goal count", "goals") == 0.5
+        assert _phrase_score("teams", "team") == 1.0
+        assert _table_score("how many players are there", "player") == 1.0
+        for value in (_phrase_score("x", "y"), _table_score("a b", "c")):
+            assert isinstance(value, float)
+
+    def test_every_cache_is_bounded(self):
+        import importlib
+        import pkgutil
+
+        import repro.llm
+
+        modules = [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.llm.__path__, "repro.llm.")
+        ]
+        caches = [
+            obj
+            for module in modules
+            for obj in vars(module).values()
+            if callable(getattr(obj, "cache_info", None))
+        ]
+        assert {c.__name__ for c in caches} >= {
+            "_demo_skeleton", "_phrase_score", "_table_score",
+        }
+        for cache in caches:
+            assert cache.cache_info().maxsize is not None, cache.__name__
+
+
+class TestStyleTransforms:
+    """The style rewrites clone only when they apply and never touch
+    their input."""
+
+    def _check(self, transform, sql, expected):
+        from repro.sqlkit.render import render_sql
+
+        query = parse_sql(sql)
+        before = render_sql(query)
+        out = transform(query)
+        assert render_sql(query) == before
+        assert (None if out is None else render_sql(out)) == expected
+
+    def test_shift_boundaries(self):
+        from repro.llm.mock_llm import _shift_boundaries
+
+        self._check(
+            _shift_boundaries,
+            "SELECT name FROM player WHERE age >= 30 AND goals < 5",
+            "SELECT name FROM player WHERE age > 29 AND goals <= 4",
+        )
+        self._check(
+            _shift_boundaries, "SELECT name FROM player WHERE age = 30", None
+        )
+
+    def test_decompose_between(self):
+        from repro.llm.mock_llm import _decompose_between
+
+        self._check(
+            _decompose_between,
+            "SELECT name FROM player WHERE age BETWEEN 20 AND 30",
+            "SELECT name FROM player WHERE age >= 20 AND age <= 30",
+        )
+        self._check(
+            _decompose_between,
+            "SELECT name FROM player WHERE goals > 1 AND age BETWEEN 20 AND 30",
+            "SELECT name FROM player WHERE goals > 1 AND age >= 20 AND age <= 30",
+        )
+        self._check(
+            _decompose_between,
+            "SELECT name FROM player WHERE goals > 1 OR age BETWEEN 20 AND 30",
+            None,
+        )

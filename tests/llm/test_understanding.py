@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.llm import build_prompt, parse_prompt, render_schema
-from repro.llm.profiles import LLMProfile
+from repro.llm.profiles import CHATGPT, LLMProfile
 from repro.llm.understanding import Understander
 from repro.spider.domains import domain_by_name
 
@@ -195,3 +195,14 @@ class TestNoise:
             u, schema, "Show the name of players whose age is greater than 20?"
         )
         assert intent is not None and not intent.filters
+
+    def test_understand_leaves_no_per_call_state(self, schema):
+        # One Understander serves concurrent callers (serve threads, eval
+        # workers), so a call's noise scale must not be stored on it.
+        u = Understander(CHATGPT)
+        before = dict(vars(u))
+        u.understand(
+            "Show the name of players whose age is greater than 20?",
+            schema, np.random.default_rng(0), noise_scale=2.5,
+        )
+        assert vars(u) == before
