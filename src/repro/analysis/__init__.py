@@ -5,8 +5,7 @@ Two rule engines share one :class:`Diagnostic` model:
 * :mod:`repro.analysis.sqlcheck` — a schema-aware SQL semantic analyzer
   that statically detects the PURPLE hallucination classes (plus general
   defects) without executing anything; it drives diagnosis-directed
-  repair in the database adapter and the eval harness's pre-execution
-  guard;
+  repair in the database adapter;
 * :mod:`repro.analysis.pylint` — an AST lint engine over the repo's own
   source tree hosting the project conventions (rendering boundary,
   narrow exceptions, determinism discipline) as registered rules.
@@ -18,7 +17,6 @@ from repro.analysis.diagnostics import (
     Diagnostic,
     Span,
     record_diagnostics,
-    summarize,
 )
 from repro.analysis.dialects import (
     DIALECT_FATAL_RULES,
@@ -50,7 +48,6 @@ __all__ = [
     "Diagnostic",
     "Span",
     "record_diagnostics",
-    "summarize",
     "DIALECT_FATAL_RULES",
     "DIALECT_RULES",
     "PROFILES",

@@ -12,8 +12,8 @@ Severities:
 
 * ``error`` — the construct is statically known to fail (SQL: the
   statement cannot execute on SQLite; Python: the repo's correctness
-  conventions are violated).  Errors gate exit codes and the harness's
-  pre-execution guard.
+  conventions are violated).  Errors gate exit codes and the repair
+  loop's candidate guard.
 * ``warning`` — semantically suspect but executable (e.g. a bare column
   under aggregation, which SQLite tolerates).
 """
@@ -98,11 +98,3 @@ def record_diagnostics(diagnostics: list) -> None:
     """Feed per-rule counters to the active observer (no-op when off)."""
     for diagnostic in diagnostics:
         obs.count("analysis.rule", rule=diagnostic.rule)
-
-
-def summarize(diagnostics: list) -> dict:
-    """``{rule_id: count}`` over a batch, deterministically ordered."""
-    counts: dict[str, int] = {}
-    for diagnostic in diagnostics:
-        counts[diagnostic.rule] = counts.get(diagnostic.rule, 0) + 1
-    return dict(sorted(counts.items()))

@@ -7,7 +7,7 @@ identifier quoting, row-limit forms, string concatenation, implicit-cast
 strictness, reserved words, and function availability.  A family of
 ``dlct.*`` rules walks a parsed query against a target profile and emits
 :class:`~repro.analysis.diagnostics.Diagnostic`\\ s whose ``fix_hint``
-names the portable rewrite, so the pre-execution guard can refuse
+names the portable rewrite, so the Postgres profile executor can refuse
 statements the target engine would reject and the repair loop can quote
 the finding back to the LLM.
 
@@ -35,7 +35,6 @@ from repro.analysis.sqlcheck import (
     _clause_nodes,
     _numeric_text,
     _Scope,
-    fatal_diagnostics,
     register_fatal_rules,
 )
 from repro.obs import runtime as obs
@@ -273,10 +272,6 @@ class DialectAnalyzer:
                 dialect=self.dialect, rule=diag.rule,
             )
         return base + dialect_diags
-
-    def is_statically_doomed(self, sql: str) -> bool:
-        """True when the target engine is certain to refuse ``sql``."""
-        return bool(fatal_diagnostics(self.analyze(sql)))
 
     def _adjust_base(self, diagnostics: list) -> list:
         """Re-read base findings through the target dialect's surface."""

@@ -2,10 +2,11 @@
 
 The repo's source conventions used to live as ad-hoc walkers inside
 individual tests (no ``print`` outside the render module, no unwaived
-broad ``except``).  This module hosts them as registered AST rules over
-one engine, so a convention is written once, surfaces identically in
-``repro lint`` and in the tier-1 tests, and reports through the shared
-:class:`~repro.analysis.diagnostics.Diagnostic` model.
+broad ``except``, no unused import).  This module hosts them as
+registered AST rules over one engine, so a convention is written once,
+surfaces identically in ``repro lint`` and in the tier-1 tests, and
+reports through the shared :class:`~repro.analysis.diagnostics.Diagnostic`
+model.
 
 Determinism rules guard the repo's reproducibility discipline: results
 must be a pure function of the seed, so wall-clock reads and the global
@@ -457,6 +458,66 @@ def _mutable_default(ctx: FileContext):
                 kind = type(default).__name__.lower()
                 yield default, f"mutable default argument ({kind} literal)", {
                     "replace_with": "None, built inside the function body",
+                }
+
+
+def _annotation_names(tree: ast.AST) -> set:
+    """Names read inside string annotations (``-> 'Iterable'``)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for const in ast.walk(annotation):
+            if not (isinstance(const, ast.Constant)
+                    and isinstance(const.value, str)):
+                continue
+            try:
+                parsed = ast.parse(const.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def _exported_names(tree: ast.AST) -> set:
+    """The string entries of a top-level ``__all__`` assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {
+                e.value for e in ast.walk(node.value)
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            }
+    return names
+
+
+@rule(
+    "py.unused-import",
+    "an import nothing reads costs start-up time, hides which modules "
+    "really depend on which, and outlives the code that needed it; "
+    "delete it (package __init__ modules re-export and are exempt)",
+)
+def _unused_import(ctx: FileContext):
+    if ctx.path.name == "__init__.py":
+        return
+    used = {n.id for n in ast.walk(ctx.tree) if isinstance(n, ast.Name)}
+    used |= _annotation_names(ctx.tree) | _exported_names(ctx.tree)
+    for node in ctx.tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if alias.name != "*" and name not in used:
+                yield node, f"unused import {name}", {
+                    "waiver": "# noqa: unused-import",
                 }
 
 

@@ -6,7 +6,7 @@ would make the statement fail (or silently misbehave) on SQLite —
 without executing it.  The six PURPLE hallucination classes (§IV-D1,
 Table 2) each map to a rule id, so the database adapter can pick the
 matching repair directly from a diagnosis instead of probing fixers,
-and the eval harness can skip executions that are statically doomed.
+and the repair loop can reject candidates that are statically doomed.
 
 Severity encodes SQLite's actual behaviour, verified against the
 engine: ``error`` means the statement is certain to fail to prepare
@@ -150,10 +150,6 @@ class SQLAnalyzer:
         run = _Run(self.schema, sql)
         run.check_query(query, outer=())
         return run.diagnostics
-
-    def is_statically_doomed(self, sql: str) -> bool:
-        """True when SQLite is certain to refuse this statement."""
-        return bool(fatal_diagnostics(self.analyze(sql)))
 
 
 class _Run:

@@ -15,7 +15,7 @@ from repro.api.registry import register
 from repro.core.consistency import consistency_vote
 from repro.eval.cost import TokenUsage
 from repro.eval.harness import TranslationResult, TranslationTask
-from repro.llm.degrade import best_effort_sql, run_ladder
+from repro.llm.degrade import run_ladder
 from repro.llm.interface import LLM, LLMRequest
 from repro.llm.promptfmt import build_prompt, render_schema
 from repro.schema import Database, Schema, SchemaGraph, SQLiteExecutor
@@ -69,13 +69,7 @@ class C3:
             ],
         )
         if not outcome.ok:
-            return TranslationResult(
-                sql=best_effort_sql(task.database.schema),
-                degradation_level=outcome.level,
-                retries=outcome.retries,
-                best_effort=True,
-                events=outcome.events,
-            )
+            return TranslationResult.exhausted(task.database.schema, outcome)
         response = outcome.response
         final = consistency_vote(response.texts, self.executor, task.database)
         return TranslationResult(

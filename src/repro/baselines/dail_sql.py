@@ -19,7 +19,7 @@ from repro.api.registry import register
 from repro.core.prompt import PromptBuilder
 from repro.eval.cost import TokenUsage
 from repro.eval.harness import TranslationResult, TranslationTask
-from repro.llm.degrade import best_effort_sql, run_ladder
+from repro.llm.degrade import run_ladder
 from repro.llm.errors import LLMError
 from repro.llm.interface import LLM, LLMRequest
 from repro.llm.promptfmt import build_prompt, render_schema
@@ -134,13 +134,9 @@ class DAILSQL:
         events.extend(outcome.events)
         retries = pre_tally.retries + outcome.retries
         if not outcome.ok:
-            return TranslationResult(
-                sql=best_effort_sql(task.database.schema),
-                usage=pre_usage,
-                degradation_level=outcome.level,
-                retries=retries,
-                best_effort=True,
-                events=tuple(events),
+            return TranslationResult.exhausted(
+                task.database.schema, outcome, usage=pre_usage,
+                retries=retries, events=tuple(events),
             )
         response = outcome.response
         from repro.core.consistency import consistency_vote

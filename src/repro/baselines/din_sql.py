@@ -15,7 +15,7 @@ from typing import Optional
 from repro.api.registry import register
 from repro.eval.cost import TokenUsage
 from repro.eval.harness import TranslationResult, TranslationTask
-from repro.llm.degrade import best_effort_sql, run_ladder
+from repro.llm.degrade import run_ladder
 from repro.llm.errors import LLMError
 from repro.llm.interface import LLM, LLMRequest
 from repro.llm.promptfmt import build_prompt, render_demo, render_schema
@@ -98,13 +98,7 @@ class DINSQL:
             ],
         )
         if not outcome.ok:
-            return TranslationResult(
-                sql=best_effort_sql(task.database.schema),
-                degradation_level=outcome.level,
-                retries=outcome.retries,
-                best_effort=True,
-                events=outcome.events,
-            )
+            return TranslationResult.exhausted(task.database.schema, outcome)
         first = outcome.response
         events = list(outcome.events)
         # Self-correction round: the model re-examines its own answer.

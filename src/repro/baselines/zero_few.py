@@ -19,7 +19,7 @@ from repro.api.registry import register
 from repro.core.prompt import PromptBuilder
 from repro.eval.cost import TokenUsage
 from repro.eval.harness import TranslationResult, TranslationTask
-from repro.llm.degrade import best_effort_sql, run_ladder
+from repro.llm.degrade import run_ladder
 from repro.llm.interface import LLM, LLMRequest
 from repro.llm.promptfmt import build_prompt, render_schema
 from repro.spider.dataset import Dataset
@@ -53,13 +53,7 @@ class ZeroShotSQL:
             self.llm, [lambda: LLMRequest(prompt=prompt, n=1)]
         )
         if not outcome.ok:
-            return TranslationResult(
-                sql=best_effort_sql(task.database.schema),
-                degradation_level=outcome.level,
-                retries=outcome.retries,
-                best_effort=True,
-                events=outcome.events,
-            )
+            return TranslationResult.exhausted(task.database.schema, outcome)
         response = outcome.response
         return TranslationResult(
             sql=response.text,
@@ -112,13 +106,7 @@ class FewShotRandom:
             ],
         )
         if not outcome.ok:
-            return TranslationResult(
-                sql=best_effort_sql(task.database.schema),
-                degradation_level=outcome.level,
-                retries=outcome.retries,
-                best_effort=True,
-                events=outcome.events,
-            )
+            return TranslationResult.exhausted(task.database.schema, outcome)
         response = outcome.response
         return TranslationResult(
             sql=response.text,

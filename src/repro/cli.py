@@ -103,11 +103,7 @@ def _make_observer(args):
 
 
 def _cmd_evaluate(args) -> int:
-    from repro.eval import (
-        diagnostics_summary,
-        evaluate_approach,
-        performance_summary,
-    )
+    from repro.eval import evaluate_approach, performance_summary
     from contextlib import nullcontext
 
     from repro.api.runtime import export_trace, make_llm
@@ -130,8 +126,7 @@ def _cmd_evaluate(args) -> int:
         )
     report = evaluate_approach(
         approach, dev, limit=args.limit, workers=args.workers,
-        observer=observer, static_guard=args.static_guard,
-        dialect=args.dialect,
+        observer=observer, dialect=args.dialect,
     )
     render.out(
         f"{approach.name}: EM {report.em:.1%}  EX {report.ex:.1%}  "
@@ -164,14 +159,6 @@ def _cmd_evaluate(args) -> int:
                 f"failing answers recovered in {t.repair_rounds} rounds"
                 + (f"  abandoned {t.repair_abandoned}"
                    if t.repair_abandoned else "")
-            )
-        diags = diagnostics_summary(report)
-        if diags:
-            render.out(
-                f"  static guard: {diags['guard_skipped']} of "
-                f"{diags['guard_checked']} executions avoided "
-                f"({diags['executions_avoided_rate']:.1%})",
-                diags["rules"],
             )
     if args.by_hardness:
         for metric in ("em", "ex"):
@@ -458,15 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     e.add_argument("--by-hardness", action="store_true")
     e.add_argument(
-        "--static-guard", action="store_true",
-        help="skip executing predictions the static analyzer proves "
-             "fatal (scores are byte-identical either way)",
-    )
-    e.add_argument(
         "--dialect", default="sqlite", choices=["sqlite", "postgres"],
         help="execution axis: sqlite (real backend) or postgres "
-             "(simulated profile; guard, errors, and repair speak "
-             "Postgres — see docs/dialects.md)",
+             "(simulated profile; errors and repair speak Postgres "
+             "— see docs/dialects.md)",
     )
     e.set_defaults(func=_cmd_evaluate)
 

@@ -29,7 +29,7 @@ from repro.core.skeleton_prediction import (
 )
 from repro.eval.cost import TokenUsage
 from repro.eval.harness import TranslationResult, TranslationTask
-from repro.llm.degrade import best_effort_sql, run_ladder
+from repro.llm.degrade import run_ladder
 from repro.llm.interface import LLM, LLMRequest
 from repro.llm.promptfmt import build_prompt, render_schema
 from repro.obs import runtime as obs
@@ -242,14 +242,7 @@ class Purple:
                 self.llm, rungs[min_rung:], first_rung=min_rung
             )
         if not outcome.ok:
-            return TranslationResult(
-                sql=best_effort_sql(schema),
-                usage=TokenUsage(),
-                degradation_level=outcome.level,
-                retries=outcome.retries,
-                best_effort=True,
-                events=outcome.events,
-            )
+            return TranslationResult.exhausted(schema, outcome)
         response = outcome.response
 
         # Step 5 — database adaption (repairs) and consistency voting.

@@ -6,7 +6,6 @@ from repro.eval.exact_match import em_signature, exact_set_match
 from repro.eval.execution import (
     GoldExecutionError,
     execution_match,
-    gold_executes,
     results_equal,
 )
 from repro.eval.harness import (
@@ -44,7 +43,6 @@ __all__ = [
     "exact_set_match",
     "GoldExecutionError",
     "execution_match",
-    "gold_executes",
     "results_equal",
     "EvaluationReport",
     "ExampleOutcome",

@@ -30,23 +30,6 @@ class GoldExecutionError(ValueError):
         self.info = info
 
 
-def gold_executes(
-    executor: SQLiteExecutor, db_key: str, gold_sql: str
-) -> None:
-    """Raise :class:`GoldExecutionError` when the gold SQL itself fails.
-
-    Used by the harness's static guard before it skips a prediction: a
-    broken gold query must still surface as an evaluation-infrastructure
-    problem, with the same message :func:`execution_match` would raise.
-    """
-    gold_result = executor.execute(db_key, gold_sql)
-    if not gold_result.ok:
-        raise GoldExecutionError(
-            f"gold SQL failed to execute: {gold_result.error}",
-            info=gold_result.info,
-        )
-
-
 def execution_match(
     executor: SQLiteExecutor,
     db_key: str,

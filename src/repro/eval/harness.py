@@ -12,19 +12,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
-from repro.analysis.diagnostics import record_diagnostics
-from repro.analysis.dialects import DialectAnalyzer
-from repro.analysis.sqlcheck import fatal_diagnostics
 from repro.eval.cost import TokenUsage
 from repro.eval.engine import map_ordered
 from repro.eval.exact_match import exact_set_match
-from repro.eval.execution import (
-    GoldExecutionError,
-    execution_match,
-    gold_executes,
-)
+from repro.eval.execution import GoldExecutionError, execution_match
 from repro.eval.test_suite import build_test_suite
 from repro.eval.timing import RunTiming
+from repro.llm.degrade import best_effort_sql
 from repro.llm.errors import LLMError, failure_fields
 from repro.obs import runtime as obs
 from repro.obs.report import stage_totals
@@ -72,6 +66,30 @@ class TranslationResult:
     events: tuple = ()
     repair_rounds: int = 0
     repaired: bool = False
+
+    @classmethod
+    def exhausted(
+        cls,
+        schema,
+        outcome,
+        *,
+        usage: Optional[TokenUsage] = None,
+        retries: Optional[int] = None,
+        events: Optional[tuple] = None,
+    ) -> "TranslationResult":
+        """The best-effort answer once ``outcome``'s ladder ran dry.
+
+        ``usage``, ``retries`` and ``events`` default to the ladder's
+        own; approaches that made calls outside the ladder pass totals.
+        """
+        return cls(
+            sql=best_effort_sql(schema),
+            usage=usage if usage is not None else TokenUsage(),
+            degradation_level=outcome.level,
+            retries=outcome.retries if retries is None else retries,
+            best_effort=True,
+            events=outcome.events if events is None else events,
+        )
 
 
 class NL2SQLApproach(Protocol):
@@ -230,7 +248,6 @@ def evaluate_approach(
     limit: Optional[int] = None,
     workers: int = 1,
     observer=None,
-    static_guard: bool = False,
     dialect: str = "sqlite",
 ) -> EvaluationReport:
     """Run ``approach`` over ``dataset`` and compute EM/EX (and TS when
@@ -247,32 +264,17 @@ def evaluate_approach(
     field carries the roll-up.  Outcomes are byte-identical with or
     without one.
 
-    ``static_guard=True`` runs the schema-aware analyzer over each
-    prediction first and skips executing predictions it proves fatal
-    (they can only score EX=False / TS=False); the gold SQL still
-    executes so gold failures surface identically, and EM is computed
-    regardless, so every score is byte-identical with the guard off.
-
     ``dialect`` picks the execution axis: ``sqlite`` (the default,
     byte-identical to the historical harness) or ``postgres`` (the
-    simulated profile from :mod:`repro.schema.dialect_backend`).  The
-    guard analyzer targets the same dialect, so statements the target
-    engine would refuse are skipped with ``dlct.*`` findings and failed
-    executions carry dialect-specific error codes into the repair loop.
+    simulated profile from :mod:`repro.schema.dialect_backend`), whose
+    failed executions carry dialect-specific error codes into the repair
+    loop.
     """
     report = EvaluationReport(
         approach=approach.name, dataset=dataset.name, dialect=dialect
     )
     examples = dataset.examples[:limit] if limit else dataset.examples
     needed_dbs = sorted({ex.db_id for ex in examples})
-    analyzers: dict = {}
-    if static_guard:
-        analyzers = {
-            db_id: DialectAnalyzer(
-                dataset.database(db_id).schema, dialect=dialect
-            )
-            for db_id in needed_dbs
-        }
 
     # One scoring executor per worker thread, created on first use and
     # closed when the run is over.
@@ -322,25 +324,11 @@ def evaluate_approach(
                 retries=0,
             )
         eval_error = None
-        doomed = False
         with obs.span("stage:execute"):
             try:
-                if static_guard:
-                    diagnostics = analyzers[example.db_id].analyze(result.sql)
-                    record_diagnostics(diagnostics)
-                    obs.count("guard.checked")
-                    doomed = bool(fatal_diagnostics(diagnostics))
-                if doomed:
-                    # Statically proven to fail: EX is False without
-                    # executing the prediction.  The gold still runs so
-                    # broken gold SQL surfaces exactly as it would have.
-                    obs.count("guard.skipped")
-                    gold_executes(_executor(), example.db_id, example.sql)
-                    ex = False
-                else:
-                    ex = execution_match(
-                        _executor(), example.db_id, example.sql, result.sql
-                    )
+                ex = execution_match(
+                    _executor(), example.db_id, example.sql, result.sql
+                )
             except GoldExecutionError as exc:
                 ex = False
                 eval_error = exception_text(exc)
@@ -362,16 +350,7 @@ def evaluate_approach(
                 and test_suites is not None
                 and example.db_id in test_suites
             ):
-                if doomed:
-                    # The suite's base is this dataset database, where the
-                    # gold just executed cleanly; a statically-fatal
-                    # prediction fails there, so match() returns False on
-                    # its first key without running anything.
-                    ts = False
-                else:
-                    ts = test_suites[example.db_id].match(
-                        example.sql, result.sql
-                    )
+                ts = test_suites[example.db_id].match(example.sql, result.sql)
         obs.annotate(
             em=em,
             ex=ex,

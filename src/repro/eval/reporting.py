@@ -60,29 +60,15 @@ def telemetry_summary(report: EvaluationReport) -> dict:
 
 
 def diagnostics_summary(report: EvaluationReport) -> dict:
-    """Static-analysis roll-up: guard activity plus per-rule counts.
+    """Static-analysis roll-up: per-rule counts plus the dialect block.
 
-    Empty for unobserved runs, or observed runs where the analyzer never
-    fired (guard off and no diagnosis-directed repairs).
+    Empty for unobserved runs, or observed runs where no diagnostic was
+    recorded (no diagnosis-directed repairs and no dialect refusals).
     """
     telemetry = report.telemetry
-    if telemetry is None:
+    if telemetry is None or not telemetry.diagnostics:
         return {}
-    if not (
-        telemetry.guard_checked
-        or telemetry.guard_skipped
-        or telemetry.diagnostics
-    ):
-        return {}
-    checked = telemetry.guard_checked
-    summary = {
-        "guard_checked": checked,
-        "guard_skipped": telemetry.guard_skipped,
-        "executions_avoided_rate": (
-            round(telemetry.guard_skipped / checked, 4) if checked else 0.0
-        ),
-        "rules": dict(telemetry.diagnostics),
-    }
+    summary = {"rules": dict(telemetry.diagnostics)}
     if telemetry.dialect_checked or telemetry.dialect_rejections:
         summary["dialect"] = {
             "name": report.dialect,

@@ -36,8 +36,6 @@ _SOURCES = (
     ("executor_cache_hits", "executor.cache_hits", "counter"),
     ("executor_cache_misses", "executor.cache_misses", "counter"),
     ("index_builds", "index.builds", "counter"),
-    ("guard_checked", "guard.checked", "counter"),
-    ("guard_skipped", "guard.skipped", "counter"),
     ("repair_triggered", "repair.triggered", "counter"),
     ("repair_rounds", "repair.rounds", "counter"),
     ("repair_success_depth", "repair.success_depth", "labelled"),
@@ -77,9 +75,6 @@ class RunTelemetry:
     executor_cache_misses: int = 0
     #: Demonstration-index builds (one per fitted PURPLE instance).
     index_builds: int = 0
-    #: Static pre-execution guard: predictions checked and skipped.
-    guard_checked: int = 0
-    guard_skipped: int = 0
     #: Execution-feedback repair (docs/repair.md): tasks that entered the
     #: loop, total rounds run, recoveries keyed by the round that healed
     #: them (``{"1": 5, "2": 1}``), and abandonments keyed by reason.

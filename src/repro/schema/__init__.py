@@ -13,7 +13,6 @@ from repro.schema.errorinfo import (
 from repro.schema.graph import SchemaGraph
 from repro.schema.model import Column, Database, ForeignKey, Schema, Table
 from repro.schema.sqlite_backend import (
-    CacheInfo,
     ExecutionResult,
     ExecutorStats,
     SQLiteExecutor,
@@ -27,7 +26,6 @@ __all__ = [
     "Schema",
     "Table",
     "SchemaGraph",
-    "CacheInfo",
     "ErrorInfo",
     "ExecutionResult",
     "ExecutorStats",

@@ -89,6 +89,7 @@ class PostgresProfileExecutor(SQLiteExecutor):
         analyzer = self._analyzer(key)
         if analyzer is None:
             return None
+        from repro.analysis.diagnostics import record_diagnostics
         from repro.analysis.sqlcheck import fatal_diagnostics
 
         for diag in fatal_diagnostics(analyzer.analyze(sql)):
@@ -96,6 +97,7 @@ class PostgresProfileExecutor(SQLiteExecutor):
             if mapped is None:
                 continue  # sqlite reproduces this failure itself
             code, category = mapped
+            record_diagnostics([diag])
             identifier = diag.fix_hint.get("identifier") or diag.fix_hint.get(
                 "function"
             )

@@ -92,23 +92,13 @@ def create_sqlite(database: Database, path: str = ":memory:") -> sqlite3.Connect
     return conn
 
 
-@dataclass
-class CacheInfo:
-    """Hit/miss counters and occupancy of the result cache."""
-
-    hits: int = 0
-    misses: int = 0
-    size: int = 0
-    capacity: int = 0
-
-
 @dataclass(frozen=True)
 class ExecutorStats:
     """A consistent snapshot of an executor's counters.
 
     ``executed`` counts statements that actually ran against SQLite
     (cache misses); ``timeouts`` counts statement-timeout interrupts
-    among them.  The cache fields mirror :class:`CacheInfo`.
+    among them.
     """
 
     executed: int = 0
@@ -222,20 +212,6 @@ class SQLiteExecutor:
                 cache_capacity=self.cache_size,
                 databases=len(self._connections),
             )
-
-    def cache_info(self) -> CacheInfo:
-        """Current hit/miss counters and cache occupancy.
-
-        Kept for pre-:meth:`stats` callers; new code should prefer the
-        fuller :meth:`stats` snapshot.
-        """
-        snapshot = self.stats()
-        return CacheInfo(
-            hits=snapshot.cache_hits,
-            misses=snapshot.cache_misses,
-            size=snapshot.cache_size,
-            capacity=snapshot.cache_capacity,
-        )
 
     def _run(self, conn: sqlite3.Connection, sql: str) -> ExecutionResult:
         deadline = None

@@ -1,7 +1,7 @@
 """The stdlib HTTP transport over :class:`~repro.serve.service.NL2SQLService`.
 
 One :class:`ReproServer` (a :class:`http.server.ThreadingHTTPServer`)
-serializes the service's wire objects over five routes:
+serializes the service's wire objects over eight routes:
 
 ========  ================  =============================================
 method    path              body / response

@@ -69,10 +69,6 @@ class Tenant:
         """The database ids this tenant may query, sorted."""
         return self.data.db_ids()
 
-    def next_request_id(self, sequence: int) -> str:
-        """Deterministic id for the ``sequence``-th request of this tenant."""
-        return f"{self.tenant_id}-{sequence:06d}"
-
 
 class TenantRegistry:
     """The service's tenant table.

@@ -283,8 +283,3 @@ class DomainBlueprint:
         if cb.role == "code":
             return pools.sample_code(rng, prefix=tb.name[:1].upper())
         return f"{tb.name} note {int(rng.integers(1, 100))}"
-
-
-def with_variant_rows(blueprint: DomainBlueprint, count: int, seed: int) -> list[Database]:
-    """Materialize ``count`` databases (variants 0..count-1) of a domain."""
-    return [blueprint.instantiate(v, seed) for v in range(count)]

@@ -242,10 +242,6 @@ class FromClause(Node):
         """All table sources in order (first, then each join's source)."""
         return [self.first] + [j.source for j in self.joins]
 
-    def table_refs(self) -> list[TableRef]:
-        """Only the base-table sources."""
-        return [s for s in self.sources() if isinstance(s, TableRef)]
-
 
 # --------------------------------------------------------------------------
 # SELECT core and full query

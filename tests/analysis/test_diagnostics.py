@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import Diagnostic, Span, record_diagnostics, summarize
+from repro.analysis import Diagnostic, Span, record_diagnostics
 from repro.obs import Observer
 
 
@@ -60,12 +60,6 @@ class TestSummaries:
             Diagnostic(rule="sql.unknown-column", message="b"),
             Diagnostic(rule="sql.unknown-table", message="c"),
         ]
-
-    def test_summarize_counts_per_rule(self):
-        assert summarize(self._diags()) == {
-            "sql.unknown-column": 2,
-            "sql.unknown-table": 1,
-        }
 
     def test_record_diagnostics_feeds_metrics(self):
         observer = Observer()

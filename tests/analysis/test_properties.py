@@ -1,6 +1,7 @@
 """Property tests for the SQL analyzer against the generated corpus.
 
-Two falsifiable claims back the pre-execution guard:
+Two falsifiable claims back the repair loop's candidate guard and the
+diagnosis-directed adapter:
 
 * **Zero false positives** — every gold query in every dataset variant
   is analyzer-clean (gold queries execute by construction, so any

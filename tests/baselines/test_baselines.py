@@ -13,7 +13,17 @@ from repro.baselines import (
 from repro.baselines.c3 import lexical_prune
 from repro.baselines.dail_sql import jaccard, masked_question_words, sql_keyword_set
 from repro.eval import TranslationTask, evaluate_approach
-from repro.llm import CHATGPT, GPT4, MockLLM
+from repro.llm import (
+    CHATGPT,
+    GPT4,
+    BreakerPolicy,
+    FakeClock,
+    FaultPolicy,
+    FaultyLLM,
+    MockLLM,
+    ResilientLLM,
+    RetryPolicy,
+)
 
 
 def first_task(dev_set):
@@ -101,6 +111,26 @@ class TestDAILSQL:
         result = dail.translate(first_task(dev_set))
         assert result.sql.upper().startswith("SELECT")
         assert result.usage.calls == 2  # preliminary + final
+
+    def test_total_outage_keeps_preliminary_retries(self, train_set, dev_set):
+        """The best-effort answer counts the preliminary call's retries
+        and failure next to the ladder's."""
+        llm = ResilientLLM(
+            FaultyLLM(
+                MockLLM(GPT4, seed=1), FaultPolicy(server_error=1.0, seed=0)
+            ),
+            retry=RetryPolicy(max_attempts=2, deadline=None),
+            breaker=BreakerPolicy(failure_threshold=100),
+            clock=FakeClock(),
+        )
+        dail = DAILSQL(llm, demo_pool=train_set, consistency_n=2)
+        result = dail.translate(first_task(dev_set))
+        assert result.best_effort
+        assert result.degradation_level == 2
+        # One retry each: the preliminary call and both ladder rungs.
+        assert result.retries == 3
+        assert len(result.events) == 3
+        assert result.events[0].endswith("@preliminary")
 
 
 class TestPLMSeq2SQL:

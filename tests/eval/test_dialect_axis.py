@@ -71,15 +71,13 @@ class TestPostgresGuard:
         observer = Observer(seed=0)
         report = evaluate_approach(
             approach, dev_set, limit=10, observer=observer,
-            static_guard=True, dialect="postgres",
+            dialect="postgres",
         )
         assert report.ex == 0.0
         telemetry = report.telemetry
-        assert telemetry.guard_checked == 10
-        assert telemetry.guard_skipped == 10
-        # Both the guard and the profile executor's own static screen
-        # consult the dialect analyzer (the gold SQL passes through the
-        # executor too), so "checked" is at least one per task.
+        # The profile executor refuses each prediction on its dialect
+        # screen without handing it to SQLite.
+        assert telemetry.dialect_rejections >= 10
         assert telemetry.dialect_checked >= 10
         assert telemetry.dialect_findings >= 10
         assert "dlct.function-availability" in telemetry.diagnostics
@@ -88,11 +86,10 @@ class TestPostgresGuard:
         approach = DialectBreakingApproach(_first_tables(dev_set))
         observer = Observer(seed=0)
         report = evaluate_approach(
-            approach, dev_set, limit=10, observer=observer,
-            static_guard=True,
+            approach, dev_set, limit=10, observer=observer
         )
         telemetry = report.telemetry
-        assert telemetry.guard_skipped == 0
+        assert telemetry.dialect_rejections == 0
         assert telemetry.dialect_checked == 0
 
     def test_diagnostics_summary_reports_dialect_block(self, dev_set):
@@ -100,11 +97,11 @@ class TestPostgresGuard:
         observer = Observer(seed=0)
         report = evaluate_approach(
             approach, dev_set, limit=6, observer=observer,
-            static_guard=True, dialect="postgres",
+            dialect="postgres",
         )
         summary = diagnostics_summary(report)
-        assert summary["executions_avoided_rate"] == 1.0
         block = summary["dialect"]
         assert block["name"] == "postgres"
         assert block["checked"] >= 6
+        assert block["rejections"] >= 6
         assert set(block["rules"]) == {"dlct.function-availability"}

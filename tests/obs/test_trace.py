@@ -206,10 +206,10 @@ class TestRunTelemetry:
             "degradation_levels", "degraded", "degrade_exhausted",
             "executor_statements", "executor_timeouts",
             "executor_cache_hits", "executor_cache_misses", "index_builds",
-            "guard_checked", "guard_skipped", "repair_triggered",
-            "repair_rounds", "repair_recovered", "repair_success_depth",
-            "repair_abandoned", "diagnostics", "dialect_checked",
-            "dialect_findings", "dialect_rejections", "events",
+            "repair_triggered", "repair_rounds", "repair_recovered",
+            "repair_success_depth", "repair_abandoned", "diagnostics",
+            "dialect_checked", "dialect_findings", "dialect_rejections",
+            "events",
         ]
 
 

@@ -57,16 +57,6 @@ class TestExecutorStats:
             with pytest.raises(AttributeError):
                 stats.executed = 99
 
-    def test_cache_info_matches_stats(self, db):
-        with SQLiteExecutor() as executor:
-            executor.register(db)
-            executor.execute("tiny", "SELECT * FROM t")
-            info, stats = executor.cache_info(), executor.stats()
-            assert (info.hits, info.misses, info.size, info.capacity) == (
-                stats.cache_hits, stats.cache_misses,
-                stats.cache_size, stats.cache_capacity,
-            )
-
     def test_concurrent_execution(self, db):
         """Many threads on one executor: no races, coherent counters."""
         with SQLiteExecutor(cache_size=64) as executor:

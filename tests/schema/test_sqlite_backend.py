@@ -169,11 +169,11 @@ class TestResultCacheLRU:
             key = ex.register(db)
             for i in range(1, 4):
                 ex.execute(key, f"SELECT {i}")
-            info = ex.cache_info()
-            assert info.size == 2
-            assert info.capacity == 2
-            assert info.misses == 3
-            assert info.hits == 0
+            stats = ex.stats()
+            assert stats.cache_size == 2
+            assert stats.cache_capacity == 2
+            assert stats.cache_misses == 3
+            assert stats.cache_hits == 0
 
     def test_hit_and_miss_counters(self, db):
         with SQLiteExecutor() as ex:
@@ -181,9 +181,9 @@ class TestResultCacheLRU:
             ex.execute(key, "SELECT 1")
             ex.execute(key, "SELECT 1")
             ex.execute(key, "SELECT 2")
-            info = ex.cache_info()
-        assert info.hits == 1
-        assert info.misses == 2
+            stats = ex.stats()
+        assert stats.cache_hits == 1
+        assert stats.cache_misses == 2
 
     def test_eviction_is_least_recently_used(self, db):
         with SQLiteExecutor(cache_size=2) as ex:
@@ -195,4 +195,4 @@ class TestResultCacheLRU:
             assert ex.execute(key, "SELECT 1") is first
             recomputed = ex.execute(key, "SELECT 2")
             assert recomputed.rows == [(2,)]
-            assert ex.cache_info().misses == 4  # 1, 2, 3, and 2 again
+            assert ex.stats().cache_misses == 4  # 1, 2, 3, and 2 again
