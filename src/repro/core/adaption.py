@@ -95,16 +95,26 @@ class DatabaseAdapter:
         """Static diagnostics for ``sql`` against ``database``'s schema."""
         return self._analyzer(database).analyze(sql)
 
-    def adapt(self, sql: str, database: Database) -> RepairOutcome:
-        """Repair ``sql`` against ``database`` if (and only if) it fails."""
+    def adapt(
+        self, sql: str, database: Database, *, memo: Optional[dict] = None
+    ) -> RepairOutcome:
+        """Repair ``sql`` against ``database`` if (and only if) it fails.
+
+        ``memo`` maps SQL text to its repair round's result against
+        ``database``, so a caller adapting many texts for one database
+        (the n samples of one prompt, which repeat few distinct texts)
+        plans each round once.  A reused round records its diagnostics
+        and fix metrics again, so metrics do not depend on the memo.
+        """
         key = self.executor.register(database)
         if self.executor.execute(key, sql).ok:
             return RepairOutcome(sql=sql)
+        memo = {} if memo is None else memo
         fixes: list = []
         diagnosed: list = []
         current = sql
         for attempt in range(1, self.max_attempts + 1):
-            fixed = self._apply_one_fix(current, database, diagnosed)
+            fixed = self._apply_one_fix(current, database, diagnosed, memo)
             if fixed is None or fixed == current:
                 return RepairOutcome(
                     sql=current, repaired=False, attempts=attempt,
@@ -125,14 +135,35 @@ class DatabaseAdapter:
     # -- one repair round ------------------------------------------------------------
 
     def _apply_one_fix(
-        self, sql: str, database: Database, diagnosed: list
+        self, sql: str, database: Database, diagnosed: list, memo: dict
     ) -> Optional[tuple]:
+        """One repair round: ``(fixed sql, fix name)`` or None, with its
+        diagnostics and fix recorded."""
+        if sql not in memo:
+            memo[sql] = self._plan_fix(sql, database)
+        diagnostics, fix = memo[sql]
+        record_diagnostics(diagnostics)
+        if fix is None:
+            return None
+        fixed_sql, name, phase, rules = fix
+        diagnosed.extend(rules)
+        obs.count("adaption.fix", mode=phase)
+        return fixed_sql, name
+
+    def _plan_fix(self, sql: str, database: Database) -> tuple:
+        """``(diagnostics, fix)`` of one repair round, a pure function of
+        ``sql`` and ``database``.
+
+        ``diagnostics`` is empty when ``sql`` does not parse.  ``fix`` is
+        None when no fixer applies, else ``(fixed sql, fix name, phase,
+        directed rule ids)``: phase ``"directed"`` when the analyzer's
+        diagnosis named the fixer's class, ``"probed"`` otherwise.
+        """
         try:
             query = parse_sql(sql)
         except SQLError:
-            return None
+            return (), None
         diagnostics = self.diagnose(sql, database)
-        record_diagnostics(diagnostics)
         classes = {
             d.error_class for d in diagnostics if d.error_class is not None
         }
@@ -144,14 +175,14 @@ class DatabaseAdapter:
                 mutated = self._run_fixer(fixer_by_name[name], name, query,
                                           database)
                 if mutated is not None:
+                    rules = ()
                     if phase == "directed":
-                        diagnosed.extend(
+                        rules = tuple(
                             d.rule for d in diagnostics
                             if d.error_class == name
                         )
-                    obs.count("adaption.fix", mode=phase)
-                    return render_sql(mutated), name
-        return None
+                    return diagnostics, (render_sql(mutated), name, phase, rules)
+        return diagnostics, None
 
     def _run_fixer(self, fixer, name: str, query, database: Database):
         if name == "function_hallucination":

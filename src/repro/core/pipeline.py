@@ -251,8 +251,11 @@ class Purple:
         # paper's -Database Adaption ablation costs mostly EX.
         with obs.span("stage:adapt"):
             if cfg.use_adaption:
+                # One repair plan per distinct failing text: the n samples
+                # repeat few texts (the memo lives for this call only).
+                fix_memo: dict = {}
                 candidates = [
-                    self.adapter.adapt(text, task.database).sql
+                    self.adapter.adapt(text, task.database, memo=fix_memo).sql
                     for text in response.texts
                 ]
             else:

@@ -65,17 +65,23 @@ def select_demonstrations(
     chosen: set = set()
     p = config.p0
     iteration = 0
-    while any(cells):
-        active = [c for c in cells if c]
-        for cell in active[:p]:
-            while cell:
-                demo = cell.pop(0)
+    # Each non-exhausted cell as [cell, position of its next demonstration,
+    # length]: walking an index leaves the cell lists untouched.
+    active = [[cell, 0, len(cell)] for cell in cells if cell]
+    while active:
+        for cursor in active[:p]:
+            cell, position, length = cursor
+            while position < length:
+                demo = cell[position]
+                position += 1
                 if demo not in chosen:
                     chosen.add(demo)
                     selected.append(demo)
                     break
+            cursor[1] = position
             if max_demos is not None and len(selected) >= max_demos:
                 return selected
+        active = [cursor for cursor in active if cursor[1] < cursor[2]]
         p = config.generalization_step(p, iteration)
         iteration += 1
     return selected

@@ -268,7 +268,10 @@ def evaluate_approach(
     byte-identical to the historical harness) or ``postgres`` (the
     simulated profile from :mod:`repro.schema.dialect_backend`), whose
     failed executions carry dialect-specific error codes into the repair
-    loop.
+    loop.  ``dialect`` scores EX only: the TS suites execute on SQLite
+    databases on either axis, so on ``postgres`` a prediction the
+    profile refuses (say ``IFNULL(COUNT(*), 0)``) scores EX=False and
+    can still score TS=True.
     """
     report = EvaluationReport(
         approach=approach.name, dataset=dataset.name, dialect=dialect

@@ -126,21 +126,28 @@ class MockLLM:
             # report suppresses the systematic misread.  The draw above
             # still happens so the rng stream is identical either way.
             hallucinate = False
-        # The candidate distribution depends only on (prompt, intent), and
-        # the n samples of one prompt read few distinct intents, so each is
-        # built once per call.  The memo is local to this call: serve
-        # threads and evaluation workers share one MockLLM.
+        # What the prompt fixes is computed once per call, and only the
+        # draws are per sample: the n samples read one question against
+        # one schema (``links``: each phrase's linking ranking) and few
+        # distinct intents (``distributions``: each intent's candidates,
+        # their rendered SQL and CDF).  The memos are local to this call:
+        # serve threads and evaluation workers share one MockLLM.
+        links: dict = {}
         distributions: dict = {}
         texts = []
         for i in range(max(request.n, 1)):
             rng = derive_rng(base, "sample", i)
             texts.append(
                 self._one_sample(
-                    parsed, demo_skeletons, effects, task_cues, distributions,
-                    rng, i, hallucinate,
+                    parsed, demo_skeletons, effects, task_cues, links,
+                    distributions, rng, i, hallucinate,
                 )
             )
-        output_tokens = sum(count_tokens(t) for t in texts)
+        token_counts: dict = {}
+        for text in texts:
+            if text not in token_counts:
+                token_counts[text] = count_tokens(text)
+        output_tokens = sum(token_counts[t] for t in texts)
         return LLMResponse(
             texts=texts, prompt_tokens=prompt_tokens, output_tokens=output_tokens
         )
@@ -153,6 +160,7 @@ class MockLLM:
         demo_skeletons: list,
         effects: dict,
         task_cues: frozenset,
+        links: dict,
         distributions: dict,
         rng: np.random.Generator,
         sample_index: int,
@@ -167,7 +175,8 @@ class MockLLM:
             # few-shot rows beat zero-shot even with random demonstrations).
             noise *= 0.8
         understanding = self._understander.understand(
-            parsed.task_question, parsed.task_schema, rng, noise_scale=noise
+            parsed.task_question, parsed.task_schema, rng, noise_scale=noise,
+            links=links,
         )
         intent = understanding.intent
         if intent is None:
@@ -179,16 +188,18 @@ class MockLLM:
             distributions[key] = self._distribution(
                 intent, parsed.task_schema, demo_skeletons, effects, task_cues
             )
-        candidates, probs = distributions[key]
+        candidates, cdf = distributions[key]
         if not candidates:
             return f"SELECT * FROM {intent.table}"
         if len(candidates) == 1:
-            sql_query = candidates[0]
+            pick = 0
         else:
-            sql_query = candidates[int(rng.choice(len(candidates), p=probs))]
+            pick = _draw_index(cdf, rng)
+        sql_query, rendered = candidates[pick]
         if hallucinate:
             sql_query, _ = inject_hallucination(sql_query, parsed.task_schema, rng)
-        return render_sql(sql_query)
+            return render_sql(sql_query)
+        return rendered
 
     def _distribution(
         self,
@@ -198,11 +209,12 @@ class MockLLM:
         effects: dict,
         task_cues: frozenset,
     ) -> tuple:
-        """``(candidates, probs)``: the queries this model may write for
-        ``intent`` and their probabilities.
+        """``(candidates, cdf)``: the ``(query, rendered SQL)`` pairs this
+        model may write for ``intent`` and the cumulative distribution
+        :func:`_draw_index` samples them by.
 
         A pure function of the prompt and the intent; no randomness is
-        drawn here.  ``probs`` is None when there are fewer than two
+        drawn here.  ``cdf`` is None when there are fewer than two
         candidates, since then no draw is made.
         """
         try:
@@ -240,8 +252,9 @@ class MockLLM:
             for styled, style_p in self._style_variants(query, effects):
                 candidates.append(styled)
                 weights.append(w * style_p)
+        rendered = tuple((query, render_sql(query)) for query in candidates)
         if len(candidates) == 1:
-            return tuple(candidates), None
+            return rendered, None
         # Demonstrations act as evidence multiplying the prior: an exact
         # keywords-level skeleton match is near-decisive, a structure-level
         # match a moderate nudge, and earlier (higher-priority)
@@ -249,7 +262,9 @@ class MockLLM:
         # Bayesian update rather than blind imitation — random
         # demonstrations tilt the model only gently, while PURPLE's
         # retrieved, correctly-ordered demonstrations dominate the prior.
-        boosts = self._demo_boosts(candidates, demo_skeletons, task_cues)
+        boosts = self._demo_boosts(
+            [sql for _, sql in rendered], demo_skeletons, task_cues
+        )
         probs = np.array(weights, dtype=float)
         if effects.get("cot") and self.profile.name != "gpt4":
             # Chain-of-thought error propagation on a weak reasoner: the
@@ -259,7 +274,7 @@ class MockLLM:
             probs = probs ** 0.4
             boosts = 1.0 + (boosts - 1.0) * 0.35
         probs = probs * boosts
-        return tuple(candidates), probs / probs.sum()
+        return rendered, _cdf(probs / probs.sum())
 
     def _style_variants(self, query, effects: dict) -> list:
         """Enumerate stylistic variants of one realization with priors.
@@ -322,14 +337,15 @@ class MockLLM:
         demo_skeletons: list,
         task_cues: frozenset = frozenset(),
     ) -> np.ndarray:
-        """Multiplicative prior boosts from demonstration matches."""
+        """Multiplicative prior boosts from demonstration matches of each
+        candidate's rendered SQL."""
         boosts = np.ones(len(candidates))
         if not demo_skeletons:
             return boosts
         follow = self.profile.demo_follow
-        for idx, query in enumerate(candidates):
+        for idx, sql in enumerate(candidates):
             try:
-                tokens = skeleton_tokens(render_sql(query))
+                tokens = skeleton_tokens(sql)
             except SQLError:
                 continue
             keywords = abstract_tokens(tokens, 2)
@@ -371,6 +387,22 @@ class MockLLM:
             )
             boosts[idx] += follow * strength * (1.0 + 0.1 * min(extra_matches, 5))
         return boosts
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The normalized cumulative distribution ``Generator.choice`` builds
+    from ``p``."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One index drawn by ``cdf``: the draw ``rng.choice(len(cdf), p=p)``
+    makes for the ``p`` :func:`_cdf` was built from, the same uniform
+    variate and the same search, without re-validating ``p``."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
 
 def _demo_skeletons(parsed: ParsedPrompt) -> list:
     """``(keywords, structure, cues)`` of each demonstration whose SQL

@@ -58,13 +58,26 @@ class SchemaInfo:
         ]
 
 
-@dataclass
 class PromptDemo:
-    """One demonstration block."""
+    """One demonstration block.
 
-    schema: SchemaInfo
-    question: str
-    sql: str
+    Its schema lines are parsed on first access of :attr:`schema`: the
+    simulated model reads only a demonstration's question and SQL, so
+    most parsed prompts never need their demonstrations' schemas.
+    """
+
+    def __init__(self, schema_lines: list, question: str, sql: str):
+        self.question = question
+        self.sql = sql
+        self._schema_lines = schema_lines
+        self._schema: Optional[SchemaInfo] = None
+
+    @property
+    def schema(self) -> SchemaInfo:
+        """The block's schema, as an eager parse would give it."""
+        if self._schema is None:
+            self._schema = _parse_schema(self._schema_lines)
+        return self._schema
 
 
 @dataclass
@@ -179,25 +192,37 @@ def parse_prompt(text: str) -> ParsedPrompt:
         elif header == "Repair":
             parsed.repair = body.strip()
         elif header == "Example":
-            demo = _parse_block(body)
-            if demo is not None:
-                parsed.demos.append(demo)
+            schema_lines, question, sql = _read_block(body)
+            if question or any(map(_TABLE_RE.match, schema_lines)):
+                parsed.demos.append(PromptDemo(schema_lines, question, sql))
         elif header == "Task":
-            demo = _parse_block(body)
-            if demo is not None:
-                parsed.task_schema = demo.schema
-                parsed.task_question = demo.question
+            schema_lines, question, _ = _read_block(body)
+            schema = _parse_schema(schema_lines)
+            if schema.tables or question:
+                parsed.task_schema = schema
+                parsed.task_question = question
     return parsed
 
 
-def _parse_block(body: str) -> Optional[PromptDemo]:
-    schema = SchemaInfo()
+def _read_block(body: str) -> tuple:
+    """``(schema lines, question, sql)`` of one block; blank lines dropped."""
+    schema_lines = []
     question = ""
     sql = ""
     for line in body.splitlines():
         line = line.strip()
-        if not line:
-            continue
+        if line.startswith("Question:"):
+            question = line.split(":", 1)[1].strip()
+        elif line.startswith("SQL:"):
+            sql = line.split(":", 1)[1].strip()
+        elif line:
+            schema_lines.append(line)
+    return schema_lines, question, sql
+
+
+def _parse_schema(lines: list) -> SchemaInfo:
+    schema = SchemaInfo()
+    for line in lines:
         if line.startswith("Database:"):
             schema.db_id = line.split(":", 1)[1].strip()
         elif line.startswith("Table "):
@@ -208,13 +233,7 @@ def _parse_block(body: str) -> Optional[PromptDemo]:
         elif line.startswith("Foreign keys:"):
             for fk in _FK_RE.findall(line.split(":", 1)[1]):
                 schema.fks.append(tuple(p.lower() for p in fk))
-        elif line.startswith("Question:"):
-            question = line.split(":", 1)[1].strip()
-        elif line.startswith("SQL:"):
-            sql = line.split(":", 1)[1].strip()
-    if not schema.tables and not question:
-        return None
-    return PromptDemo(schema=schema, question=question, sql=sql)
+    return schema
 
 
 def _parse_columns(cols_text: str) -> list:

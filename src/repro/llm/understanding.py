@@ -99,17 +99,28 @@ class Understander:
         schema: SchemaInfo,
         rng: np.random.Generator,
         noise_scale: float = 1.0,
+        links: Optional[dict] = None,
     ) -> Understanding:
-        """Parse the question into an intent, with profile noise."""
-        return _Reading(self.profile, noise_scale).understand(question, schema, rng)
+        """Parse the question into an intent, with profile noise.
+
+        ``links`` memoizes the linking rankings, which depend only on
+        the phrase and ``schema``: a caller reading one question against
+        one schema many times (the n samples of a prompt) passes one
+        dict to every reading.  The rng draws stay per reading.
+        """
+        reading = _Reading(self.profile, noise_scale, links)
+        return reading.understand(question, schema, rng)
 
 
 class _Reading:
     """One reading of one question: the profile at one noise scale."""
 
-    def __init__(self, profile: LLMProfile, noise: float):
+    def __init__(
+        self, profile: LLMProfile, noise: float, links: Optional[dict] = None
+    ):
         self.profile = profile
         self.noise = noise
+        self.links = {} if links is None else links
 
     def understand(
         self, question: str, schema: SchemaInfo, rng: np.random.Generator
@@ -623,15 +634,10 @@ class _Reading:
     # -- linking ---------------------------------------------------------------------
 
     def _link_table(self, phrase: str, schema: SchemaInfo, rng) -> str:
-        phrase = phrase.strip().strip(".,")
-        candidates = [phrase] + lookup_synonym(phrase, self.profile.synonym_coverage)
-        best, best_score, runner = None, 0.0, None
-        for table in schema.table_names():
-            score = max(_phrase_score(c, table) for c in candidates)
-            if score > best_score:
-                best, best_score, runner = table, score, best
-            elif best is not None and score == best_score:
-                runner = table
+        key = ("table", phrase)
+        if key not in self.links:
+            self.links[key] = self._rank_tables(phrase, schema)
+        best, best_score = self.links[key]
         if best is None or best_score < 0.34:
             # Unfamiliar surface form: guess a plausible table from context
             # rather than giving up (what a real model does with an unknown
@@ -642,6 +648,18 @@ class _Reading:
             return str(tables[int(rng.integers(0, len(tables)))])
         return best
 
+    def _rank_tables(self, phrase: str, schema: SchemaInfo) -> tuple:
+        """``(best, best_score)``: the first best-scoring table for
+        ``phrase`` or one of its known synonyms."""
+        phrase = phrase.strip().strip(".,")
+        candidates = [phrase] + lookup_synonym(phrase, self.profile.synonym_coverage)
+        best, best_score = None, 0.0
+        for table in schema.table_names():
+            score = max(_phrase_score(c, table) for c in candidates)
+            if score > best_score:
+                best, best_score = table, score
+        return best, best_score
+
     def _link_column(
         self,
         phrase: str,
@@ -649,6 +667,35 @@ class _Reading:
         rng,
         table: Optional[str] = None,
     ) -> str:
+        key = ("column", phrase, table)
+        if key not in self.links:
+            self.links[key] = self._rank_columns(phrase, schema, table)
+        search, best, ties = self.links[key]
+        if best is None:
+            # Unknown column surface form: guess among type-plausible
+            # columns instead of abandoning the whole intent.
+            pool = search
+            if not pool:
+                raise _LinkError
+            tbl, col = pool[int(rng.integers(0, len(pool)))]
+            return col.name
+        confusion = min(1.0, self.profile.column_confusion * self.noise)
+        if ties and rng.random() < confusion:
+            pick = ties[int(rng.integers(0, len(ties)))]
+            return pick[2]
+        return best[2]
+
+    def _rank_columns(
+        self, phrase: str, schema: SchemaInfo, table: Optional[str]
+    ) -> tuple:
+        """``(search, best, ties)``: the ``(table, ColumnInfo)`` pairs
+        searched, the best ``(score, table, column)`` match (None when
+        the phrase reads as an unknown column) and its lexical near-ties.
+
+        The 0.34 threshold is tested on the first positive match in
+        schema order, before sorting, so a later and better match can
+        still read as unknown.
+        """
         phrase = phrase.strip().strip(".,")
         candidates = [phrase] + lookup_synonym(phrase, self.profile.synonym_coverage)
         scored = []
@@ -662,22 +709,12 @@ class _Reading:
             if score > 0:
                 scored.append((score, tbl, col.name))
         if not scored or scored[0][0] < 0.34:
-            # Unknown column surface form: guess among type-plausible
-            # columns instead of abandoning the whole intent.
-            pool = search
-            if not pool:
-                raise _LinkError
-            tbl, col = pool[int(rng.integers(0, len(pool)))]
-            return col.name
+            return search, None, []
         scored.sort(key=lambda s: (-s[0], s[1], s[2]))
         best = scored[0]
         # Lexical near-ties trigger confusion; more distractors, more ties.
         ties = [s for s in scored[1:] if best[0] - s[0] <= 0.25]
-        confusion = min(1.0, self.profile.column_confusion * self.noise)
-        if ties and rng.random() < confusion:
-            pick = ties[int(rng.integers(0, len(ties)))]
-            return pick[2]
-        return best[2]
+        return search, best, ties
 
     def _link_projection_list(
         self, cols_text: str, table: str, schema: SchemaInfo, rng

@@ -8,6 +8,7 @@ gradient descent — small data, seconds to train, fully deterministic.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,9 @@ from repro.schema import Database, Schema
 from repro.spider.dataset import Dataset
 from repro.utils.rng import derive_rng
 
+#: Featurized schemas one classifier keeps; the oldest is dropped past this.
+_MAX_FEATURIZERS = 64
+
 
 @dataclass
 class SchemaItemClassifier:
@@ -32,6 +36,14 @@ class SchemaItemClassifier:
     )
     gamma: float = 2.0  # focal-loss focusing parameter
     alpha: float = 0.5  # focal-loss class balance
+    # (schema, database) -> featurizer, keyed by object identity; see
+    # _featurizer.
+    _featurizers: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Sigmoid scores for a (n, d) feature matrix or a single vector."""
@@ -61,7 +73,7 @@ class SchemaItemClassifier:
         """
         table_probs = {}
         column_probs = {}
-        for item, vector in SchemaFeaturizer(schema, database).rows(question):
+        for item, vector in self._featurizer(schema, database).rows(question):
             # Row by row, as score_item scores: a batched matrix product
             # can differ from it in the last bit.
             p = float(self.predict_proba(vector)[0])
@@ -70,6 +82,25 @@ class SchemaItemClassifier:
             else:
                 table_probs[item.table] = p
         return table_probs, column_probs
+
+    def _featurizer(self, schema: Schema, database: Database) -> SchemaFeaturizer:
+        """The featurizer of this ``(schema, database)`` pair of objects,
+        built on first use: its items (and their scans of up to 50
+        values per column) depend only on the schema and the rows.
+
+        Keyed by object identity, not ``db_id``: two loads of one
+        database are two entries.  An entry holds its objects, so their
+        ids cannot be reused while it is cached.
+        """
+        key = (id(schema), id(database))
+        with self._lock:
+            entry = self._featurizers.get(key)
+            if entry is None:
+                if len(self._featurizers) >= _MAX_FEATURIZERS:
+                    del self._featurizers[next(iter(self._featurizers))]
+                entry = (schema, database, SchemaFeaturizer(schema, database))
+                self._featurizers[key] = entry
+        return entry[2]
 
     def fit(
         self,

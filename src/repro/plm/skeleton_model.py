@@ -44,7 +44,9 @@ class SkeletonPredictor:
 
     vocab: list = field(default_factory=list)
     weights: Optional[np.ndarray] = None  # (V, D)
-    trie: Optional[dict] = None  # tuple(prefix) -> set of allowed next tokens
+    # tuple(prefix) -> set of allowed next tokens; set at construction,
+    # when each prefix's mask is built.
+    trie: Optional[dict] = None
     # N-best reranker: a multinomial classifier over whole training
     # skeletons re-scores the beam's candidates (the fine-tuned model's
     # sequence-level discrimination; cf. the N-best reranking line of work
@@ -55,6 +57,16 @@ class SkeletonPredictor:
     def __post_init__(self) -> None:
         self._index = {tok: i for i, tok in enumerate(self.vocab)}
         self._class_index = {s: i for i, s in enumerate(self.class_skeletons)}
+        # Each trie prefix's allowed-token mask, built once: float32, the
+        # dtype of the step distributions it multiplies.
+        self._masks: dict = {}
+        for prefix, allowed in (self.trie or {}).items():
+            mask = np.zeros(len(self.vocab), dtype=np.float32)
+            for token in allowed:
+                idx = self._index.get(token)
+                if idx is not None:
+                    mask[idx] = 1.0
+            self._masks[prefix] = mask
 
     # -- feature layout -------------------------------------------------------
 
@@ -72,15 +84,28 @@ class SkeletonPredictor:
         position: int,
         n_tables: float,
     ) -> np.ndarray:
+        return self._with_step(
+            self._question_features(cues, n_tables), prev, prev2, position
+        )
+
+    def _question_features(self, cues: np.ndarray, n_tables: float) -> np.ndarray:
+        """The step features a question fixes: cues, bias, table count."""
         v = len(self.vocab)
         x = np.zeros(self.dim, dtype=np.float32)
-        prev_idx = self._index.get(prev, 0)
-        x[prev_idx] = 1.0
-        x[v + self._index.get(prev2, 0)] = 1.0
         x[2 * v : 2 * v + CUE_DIM] = cues
         x[2 * v + CUE_DIM] = 1.0  # bias
-        x[2 * v + CUE_DIM + 1] = min(position, 40) / 40.0
         x[2 * v + CUE_DIM + 2] = min(n_tables, 4) / 4.0
+        return x
+
+    def _with_step(
+        self, base: np.ndarray, prev: str, prev2: str, position: int
+    ) -> np.ndarray:
+        """A copy of ``base`` with one step's tokens and position set."""
+        v = len(self.vocab)
+        x = base.copy()
+        x[self._index.get(prev, 0)] = 1.0
+        x[v + self._index.get(prev2, 0)] = 1.0
+        x[2 * v + CUE_DIM + 1] = min(position, 40) / 40.0
         return x
 
     # -- inference -------------------------------------------------------------
@@ -107,6 +132,7 @@ class SkeletonPredictor:
         assert self.weights is not None, "predictor is not trained"
         cues = question_cues(question)
         n_tables = float(len(schema.tables)) if schema is not None else 2.0
+        base = self._question_features(cues, n_tables)
         width = beam_width or max(2 * k, 6)
 
         beams = [((BOS, BOS), [], 0.0)]  # (context, tokens, logprob)
@@ -114,15 +140,14 @@ class SkeletonPredictor:
         for position in range(_MAX_LEN):
             candidates = []
             for (prev, prev2), tokens, logprob in beams:
-                x = self._step_features(prev, prev2, cues, position, n_tables)
+                mask = None
+                if self.trie is not None:
+                    mask = self._masks.get(tuple(tokens))
+                    if mask is None:
+                        continue  # no training skeleton has this prefix
+                x = self._with_step(base, prev, prev2, position)
                 dist = self.token_distribution(x)
-                allowed = self._allowed_next(tokens)
-                if allowed is not None:
-                    mask = np.zeros_like(dist)
-                    for token in allowed:
-                        idx = self._index.get(token)
-                        if idx is not None:
-                            mask[idx] = 1.0
+                if mask is not None:
                     dist = dist * mask
                     total = dist.sum()
                     if total <= 0:
@@ -185,12 +210,6 @@ class SkeletonPredictor:
             rescored.append((text, beam_lp + 0.3 * class_lp))
         rescored.sort(key=lambda c: -c[1])
         return rescored
-
-    def _allowed_next(self, tokens: list) -> Optional[set]:
-        """Tokens that continue some training skeleton (None = unconstrained)."""
-        if self.trie is None:
-            return None
-        return self.trie.get(tuple(tokens), set())
 
     # -- training ---------------------------------------------------------------
 

@@ -13,8 +13,7 @@ module rewrites trees in place via :func:`clone`), but shared helpers such as
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
 
@@ -23,16 +22,25 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes in source order."""
-        if not is_dataclass(self):  # pragma: no cover - all nodes are
-            return
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, (list, tuple)):
                 for item in value:
                     if isinstance(item, Node):
                         yield item
+
+
+#: Each node class's dataclass field names, in declaration order.
+_FIELD_NAMES: dict = {}
+
+
+def _field_names(cls: type) -> tuple:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return names
 
 
 def walk(node: Node) -> Iterator[Node]:
@@ -43,8 +51,28 @@ def walk(node: Node) -> Iterator[Node]:
 
 
 def clone(node: Node) -> Node:
-    """Deep-copy an AST subtree."""
-    return copy.deepcopy(node)
+    """Deep-copy an AST subtree.
+
+    A structural copy: every node, list and tuple is new, and leaves
+    (strings, numbers, booleans, None) are shared, being immutable.  A
+    node reachable twice is copied once, as :func:`copy.deepcopy` does.
+    """
+    return _copy(node, {})
+
+
+def _copy(value, memo: dict):
+    if isinstance(value, Node):
+        copied = memo.get(id(value))
+        if copied is None:
+            copied = memo[id(value)] = object.__new__(type(value))
+            for name, item in value.__dict__.items():
+                copied.__dict__[name] = _copy(item, memo)
+        return copied
+    if isinstance(value, list):
+        return [_copy(item, memo) for item in value]
+    if isinstance(value, tuple):
+        return tuple(_copy(item, memo) for item in value)
+    return value
 
 
 # --------------------------------------------------------------------------

@@ -91,3 +91,46 @@ class TestRepairs:
         adapter = DatabaseAdapter(SQLiteExecutor(), max_attempts=2)
         outcome = adapter.adapt("SELEKT garbage", db)
         assert outcome.attempts <= 2
+
+
+class TestRepairMemo:
+    """A memo shared across one prompt's samples plans each distinct
+    text's repair rounds once and changes no outcome or metric."""
+
+    TEXTS = (
+        "SELECT T2.goals FROM player AS T1 JOIN team AS T2 ON T1.team_id = T2.id",
+        "SELECT name FROM player WHERE city = 'Rome'",
+        "SELECT COUNT(DISTINCT posiion, nme) FROM player WHERE city = 'Rome'",
+        "SELECT name FROM ghost",
+        "SELEKT garbage",
+        "SELECT name FROM player",
+    )
+
+    def _run(self, db, texts, memo):
+        from repro.obs.runtime import Observer
+
+        adapter = DatabaseAdapter(SQLiteExecutor())
+        observer = Observer()
+        with observer.activate():
+            if memo is None:
+                outcomes = [adapter.adapt(text, db) for text in texts]
+            else:
+                outcomes = [adapter.adapt(text, db, memo=memo) for text in texts]
+        counters = {
+            key: value
+            for key, value in observer.metrics.snapshot().counters.items()
+            if key.startswith(("adaption.fix", "analysis.rule"))
+        }
+        return outcomes, counters
+
+    def test_shared_memo_matches_no_memo(self, env):
+        db, _, _ = env
+        texts = [text for _ in range(6) for text in self.TEXTS]
+        memo: dict = {}
+        bare = self._run(db, texts, None)
+        memoized = self._run(db, texts, memo)
+        assert memoized == bare
+        assert bare[1]["adaption.fix{mode=directed}"] == 6 * 7
+        # One plan per distinct failing text that reached a repair round.
+        assert set(self.TEXTS[:5]) <= set(memo)
+        assert len(memo) == 5 + 4  # plus the later rounds' intermediate texts

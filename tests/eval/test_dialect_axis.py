@@ -105,3 +105,46 @@ class TestPostgresGuard:
         assert block["checked"] >= 6
         assert block["rejections"] >= 6
         assert set(block["rules"]) == {"dlct.function-availability"}
+
+
+class TestTestSuitesRunOnSqlite:
+    """TS suites execute on SQLite on both axes, so a prediction the
+    Postgres profile refuses scores EX=False and can still score TS=True
+    (documented in ``evaluate_approach`` and docs/dialects.md)."""
+
+    def test_refused_prediction_keeps_its_ts(self, dev_set):
+        from repro.eval import build_test_suite
+        from repro.spider.dataset import Dataset
+
+        counting = [ex for ex in dev_set if "COUNT(*)" in ex.sql]
+        assert len(counting) >= 4
+        subset = Dataset(
+            name="count", examples=counting, databases=dev_set.databases
+        )
+        suites = {
+            db_id: build_test_suite(
+                dev_set.database(db_id),
+                [ex.sql for ex in counting if ex.db_id == db_id],
+                folds=2, seed=7,
+            )
+            for db_id in subset.db_ids()
+        }
+        # Legal on SQLite, refused by the Postgres profile (no IFNULL).
+        approach = OracleApproach(
+            lookup={
+                (ex.db_id, ex.question): ex.sql.replace(
+                    "COUNT(*)", "IFNULL(COUNT(*), 0)"
+                )
+                for ex in counting
+            }
+        )
+        try:
+            lite = evaluate_approach(approach, subset, test_suites=suites)
+            pg = evaluate_approach(
+                approach, subset, test_suites=suites, dialect="postgres"
+            )
+        finally:
+            for suite in suites.values():
+                suite.close()
+        assert [(o.ex, o.ts) for o in lite.outcomes] == [(True, True)] * len(counting)
+        assert [(o.ex, o.ts) for o in pg.outcomes] == [(False, True)] * len(counting)

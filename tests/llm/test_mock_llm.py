@@ -255,19 +255,28 @@ class TestCachedHelpers:
             assert isinstance(value, float)
 
     def test_every_cache_is_bounded(self):
+        # Every lru_cache anywhere in the package, module-level or on a
+        # class: serve processes run for days.
         import importlib
         import pkgutil
 
-        import repro.llm
+        import repro
 
         modules = [
             importlib.import_module(info.name)
-            for info in pkgutil.walk_packages(repro.llm.__path__, "repro.llm.")
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if not info.name.endswith(".__main__")  # importing runs the CLI
         ]
-        caches = [
+        owners = list(modules) + [
             obj
             for module in modules
             for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        ]
+        caches = [
+            obj
+            for owner in owners
+            for obj in vars(owner).values()
             if callable(getattr(obj, "cache_info", None))
         ]
         assert {c.__name__ for c in caches} >= {
@@ -275,6 +284,51 @@ class TestCachedHelpers:
         }
         for cache in caches:
             assert cache.cache_info().maxsize is not None, cache.__name__
+
+    def test_call_memos_stay_off_the_shared_instance(self, db):
+        llm = MockLLM(CHATGPT, seed=4)
+        before = dict(vars(llm)), dict(vars(llm._understander))
+        ask(llm, db, "What are the name of players whose age is at least 20?", n=6)
+        assert (dict(vars(llm)), dict(vars(llm._understander))) == before
+
+
+class TestCdfDraw:
+    """A sample draws its candidate by searching a precomputed CDF; it
+    must make exactly the draw ``Generator.choice(len, p=p)`` makes."""
+
+    DISTRIBUTIONS = [
+        [0.5, 0.5],
+        [0.3, 0.7],
+        [1e-12, 1.0 - 1e-12],
+        [1.0 - 1e-12, 1e-12],
+        [0.25, 1e-300, 0.25, 0.5],
+        [0.999, 0.0005, 0.0005],
+        [1e-9, 1e-9, 1.0, 1e-9],
+    ]
+
+    def _distributions(self):
+        rng = np.random.default_rng(0)
+        out = [np.array(p, dtype=float) for p in self.DISTRIBUTIONS]
+        for size in (2, 3, 5, 12, 40):
+            for _ in range(5):
+                raw = rng.dirichlet(np.full(size, 0.3)) * rng.uniform(0.5, 50)
+                out.append(raw)
+        # Normalized as the simulator normalizes its boosted priors.
+        return [probs / probs.sum() for probs in out]
+
+    def test_matches_generator_choice(self):
+        from repro.llm.mock_llm import _cdf, _draw_index
+
+        for probs in self._distributions():
+            cdf = _cdf(probs)
+            for seed in range(300):
+                ours = np.random.default_rng(seed)
+                theirs = np.random.default_rng(seed)
+                assert _draw_index(cdf, ours) == int(
+                    theirs.choice(len(probs), p=probs)
+                )
+                # The two consumed the same variates.
+                assert ours.random() == theirs.random()
 
 
 class TestStyleTransforms:

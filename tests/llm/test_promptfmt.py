@@ -78,3 +78,33 @@ class TestRoundTrip:
         for col in parsed.task_schema.columns_of("player"):
             values.extend(v for v in col.values if isinstance(v, str))
         assert any(" " in v for v in values)  # person names round-trip
+
+
+class TestLazyDemoSchema:
+    """A demonstration's schema is parsed on first access; it must equal
+    what an eager parse of the same lines gives."""
+
+    def test_equals_eager_parse(self, soccer_db):
+        for schema in (
+            soccer_db.schema,
+            soccer_db.schema.subset({"team": ["name", "city"]}),
+        ):
+            text = render_schema(soccer_db, schema)
+            demo = render_demo(text, "Who?", "SELECT name FROM team")
+            parsed = parse_prompt(build_prompt(text, "q", demos=[demo, demo]))
+            eager = parsed.task_schema
+            first, second = parsed.demos
+            assert first.schema == eager
+            assert first.schema is first.schema  # parsed once
+            assert second.schema == eager and second.schema is not eager
+
+    def test_blocks_kept_as_before(self, soccer_db):
+        table_only = "### Example\nTable team (id:integer*, name:text)"
+        question_only = "### Example\nQuestion: Who?\nSQL: SELECT 1"
+        empty = "### Example\nDatabase: soccer\nTable team"  # no table parses
+        parsed = parse_prompt(
+            "\n\n".join([table_only, question_only, empty, "### Task\nQuestion: q\nSQL:"])
+        )
+        assert [d.question for d in parsed.demos] == ["", "Who?"]
+        assert parsed.demos[0].schema.table_names() == ["team"]
+        assert parsed.demos[1].schema.tables == {}

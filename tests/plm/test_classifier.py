@@ -143,3 +143,52 @@ class TestTrainedClassifier:
                 if used_mean > np.mean(unused):
                     better += 1
         assert better / scored > 0.9
+
+
+class TestFeaturizerCache:
+    """score_schema featurizes each Database object once."""
+
+    def _counting(self, monkeypatch):
+        from repro.plm import classifier as module
+
+        built = []
+        real = module.SchemaFeaturizer
+
+        def counting(schema, database=None):
+            built.append(database)
+            return real(schema, database)
+
+        monkeypatch.setattr(module, "SchemaFeaturizer", counting)
+        return built
+
+    def test_one_featurizer_per_database_object(
+        self, classifier, dev_set, monkeypatch
+    ):
+        from repro.schema import Database
+
+        built = self._counting(monkeypatch)
+        fresh = SchemaItemClassifier(weights=classifier.weights)
+        db = dev_set.database(dev_set.examples[0].db_id)
+        questions = [ex.question for ex in dev_set if ex.db_id == db.db_id]
+        scores = [fresh.score_schema(q, db.schema, db) for q in questions]
+        assert len(questions) > 1 and [id(b) for b in built] == [id(db)]
+        # Same db_id, another object: keyed by identity, so built anew.
+        twin = Database(schema=db.schema, rows=db.rows)
+        assert fresh.score_schema(questions[0], twin.schema, twin) == scores[0]
+        assert [id(b) for b in built] == [id(db), id(twin)]
+        assert scores == [
+            classifier.score_schema(q, db.schema, db) for q in questions
+        ]
+
+    def test_cache_is_bounded(self, classifier, dev_set, monkeypatch):
+        from repro.plm import classifier as module
+        from repro.schema import Database
+
+        monkeypatch.setattr(module, "_MAX_FEATURIZERS", 2)
+        fresh = SchemaItemClassifier(weights=classifier.weights)
+        db = dev_set.database(dev_set.examples[0].db_id)
+        copies = [Database(schema=db.schema, rows=db.rows) for _ in range(3)]
+        for copy in copies:
+            fresh.score_schema("q", copy.schema, copy)
+        kept = [entry[1] for entry in fresh._featurizers.values()]
+        assert [id(d) for d in kept] == [id(d) for d in copies[1:]]

@@ -85,6 +85,18 @@ class TestTraining:
         for i in range(len(tokens)):
             assert tokens[i] in predictor.trie[tuple(tokens[:i])]
 
+    def test_prefix_masks_built_once_from_trie(self, predictor):
+        """The beam multiplies each step's float32 distribution by its
+        prefix's mask: ones exactly at the trie's allowed tokens."""
+        assert predictor._masks.keys() == predictor.trie.keys()
+        for prefix, allowed in predictor.trie.items():
+            mask = predictor._masks[prefix]
+            assert mask.dtype == np.float32 and mask.shape == (len(predictor.vocab),)
+            assert set(np.flatnonzero(mask)) == {
+                predictor.vocab.index(token) for token in allowed
+            }
+            assert set(mask.tolist()) <= {0.0, 1.0}
+
 
 def reference_steps(model, sequences):
     """``(prev, prev2, cues, position, n_tables, target)`` per step."""
