@@ -63,6 +63,10 @@ def _from_json(cls, text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WireFormatError(f"{cls.__name__}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise WireFormatError(
+            f"{cls.__name__}: invalid JSON: nested too deeply"
+        ) from exc
     return _from_dict(cls, data)
 
 

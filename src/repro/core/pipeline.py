@@ -34,6 +34,7 @@ from repro.llm.interface import LLM, LLMRequest
 from repro.llm.promptfmt import build_prompt, render_schema
 from repro.obs import runtime as obs
 from repro.plm.classifier import train_schema_classifier
+from repro.plm.labels import dataset_used_items
 from repro.repair import RepairBudget, RepairLoop
 from repro.plm.skeleton_model import train_skeleton_predictor
 from repro.schema import make_executor
@@ -87,8 +88,12 @@ class Purple:
     def fit(self, demo_pool: Dataset) -> "Purple":
         """Train substrates and index the demonstration pool."""
         cfg = self.config
+        # Each demonstration's gold-used schema items, parsed once for
+        # all three consumers below.
+        used_items = dataset_used_items(demo_pool)
         self.classifier = train_schema_classifier(
-            demo_pool, epochs=cfg.classifier_epochs, seed=cfg.seed
+            demo_pool, epochs=cfg.classifier_epochs, seed=cfg.seed,
+            used_items=used_items,
         )
         self.pruner = SchemaPruner(
             classifier=self.classifier,
@@ -98,14 +103,16 @@ class Purple:
             steiner_method=cfg.steiner_method,
         )
         predictor = train_skeleton_predictor(
-            demo_pool, epochs=cfg.skeleton_epochs, seed=cfg.seed
+            demo_pool, epochs=cfg.skeleton_epochs, seed=cfg.seed,
+            used_items=used_items,
         )
         self.skeleton_module = SkeletonPredictionModule(
             predictor=predictor, top_k=cfg.top_k_skeletons
         )
         self._index_pool(demo_pool)
         self.prompt_builder = PromptBuilder(
-            demo_pool, values_per_column=cfg.values_per_column
+            demo_pool, values_per_column=cfg.values_per_column,
+            used_items=used_items,
         )
         return self
 

@@ -20,20 +20,25 @@ import numpy as np
 
 from repro.llm.promptfmt import build_prompt, render_demo, render_schema, render_task
 from repro.llm.tokenizer import count_tokens
-from repro.plm.labels import used_schema_items
+from repro.plm.labels import dataset_used_items
 from repro.spider.dataset import Dataset
 
 
 class PromptBuilder:
     """Renders demonstration blocks once, then packs prompts per task."""
 
-    def __init__(self, demo_pool: Dataset, values_per_column: int = 2):
+    def __init__(self, demo_pool: Dataset, values_per_column: int = 2,
+                 used_items: Optional[list] = None):
+        """``used_items`` is :func:`~repro.plm.labels.dataset_used_items`
+        of ``demo_pool`` when the caller already has it."""
         self.demo_pool = demo_pool
         self.values_per_column = values_per_column
+        if used_items is None:
+            used_items = dataset_used_items(demo_pool)
         self._blocks: list = []
         self._block_tokens: list = []
-        for ex in demo_pool.examples:
-            block = self._render_demo_block(ex)
+        for ex, used in zip(demo_pool.examples, used_items):
+            block = self._render_demo_block(ex, used)
             self._blocks.append(block)
             self._block_tokens.append(count_tokens(block) + 2)
 
@@ -44,9 +49,9 @@ class PromptBuilder:
         """The pre-rendered '### Example' block for one demo."""
         return self._blocks[index]
 
-    def _render_demo_block(self, ex) -> str:
+    def _render_demo_block(self, ex, used: tuple) -> str:
         database = self.demo_pool.database(ex.db_id)
-        used_tables, used_columns = used_schema_items(ex.sql, database.schema)
+        used_tables, used_columns = used
         keep = {}
         for table in used_tables:
             keep[table] = [c for t, c in used_columns if t == table]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from repro.plm.features import (
     SchemaFeaturizer,
     schema_item_features,
 )
-from repro.plm.labels import used_schema_items
+from repro.plm.labels import dataset_used_items
 from repro.schema import Database, Schema
 from repro.spider.dataset import Dataset
 from repro.utils.rng import derive_rng
@@ -132,12 +133,17 @@ class SchemaItemClassifier:
         return self
 
 
-def build_training_matrix(dataset: Dataset) -> tuple:
+def build_training_matrix(dataset: Dataset,
+                          used_items: Optional[list] = None) -> tuple:
     """Assemble (X, y) over all (example, schema item) pairs of a dataset.
 
     Rows follow the dataset order, and within an example each table,
     then its columns.  Each database's items are featurized once.
+    ``used_items`` is :func:`~repro.plm.labels.dataset_used_items` of
+    ``dataset`` when the caller already has it.
     """
+    if used_items is None:
+        used_items = dataset_used_items(dataset)
     featurizers = {}
     for ex in dataset:
         if ex.db_id not in featurizers:
@@ -147,9 +153,8 @@ def build_training_matrix(dataset: Dataset) -> tuple:
     X = np.empty((n_rows, SCHEMA_FEATURE_DIM))
     y = np.empty(n_rows)
     row = 0
-    for ex in dataset:
+    for ex, (used_tables, used_columns) in zip(dataset, used_items):
         featurizer = featurizers[ex.db_id]
-        used_tables, used_columns = used_schema_items(ex.sql, featurizer.schema)
         for item, vector in featurizer.rows(ex.question):
             X[row] = vector
             if item.column:
@@ -161,10 +166,11 @@ def build_training_matrix(dataset: Dataset) -> tuple:
 
 
 def train_schema_classifier(
-    dataset: Dataset, epochs: int = 300, seed: int = 0
+    dataset: Dataset, epochs: int = 300, seed: int = 0,
+    used_items: Optional[list] = None,
 ) -> SchemaItemClassifier:
     """Train the relevance classifier on a dataset's gold annotations."""
-    X, y = build_training_matrix(dataset)
+    X, y = build_training_matrix(dataset, used_items)
     rng = derive_rng(seed, "classifier")
     order = rng.permutation(len(y))
     classifier = SchemaItemClassifier()

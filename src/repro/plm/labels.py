@@ -33,6 +33,19 @@ def used_schema_items(sql: str, schema: Schema) -> tuple:
     return tables, columns
 
 
+def dataset_used_items(dataset) -> list:
+    """:func:`used_schema_items` of every example, in dataset order.
+
+    Training PURPLE reads these labels three times (classifier labels,
+    skeleton table counts, pruned demonstration schemas); computing
+    them once parses each gold SQL once.
+    """
+    return [
+        used_schema_items(ex.sql, dataset.database(ex.db_id).schema)
+        for ex in dataset
+    ]
+
+
 def _collect(query: Query, schema: Schema, tables: set, columns: set,
              outer_aliases: dict) -> None:
     for core in query.all_cores():

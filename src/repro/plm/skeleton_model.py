@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.plm.features import CUE_DIM, question_cues
-from repro.plm.labels import used_schema_items
+from repro.plm.labels import dataset_used_items
 from repro.schema import Schema
 from repro.spider.dataset import Dataset
 from repro.sqlkit.skeleton import skeleton_tokens
@@ -350,23 +350,25 @@ class _StepTable:
         return xb
 
 
-def skeleton_training_data(dataset: Dataset) -> tuple:
+def skeleton_training_data(dataset: Dataset,
+                           used_items: Optional[list] = None) -> tuple:
     """``(sequences, vocab, trie)`` for training on a dataset's skeletons.
 
     ``sequences`` are ``[(tokens, cue_vector, n_tables)]``.  The
     schema-size feature uses the number of *gold-used* tables, matching
-    the pruned schemas the model sees at inference time.
+    the pruned schemas the model sees at inference time; ``used_items``
+    is :func:`~repro.plm.labels.dataset_used_items` of ``dataset`` when
+    the caller already has it.
     """
+    if used_items is None:
+        used_items = dataset_used_items(dataset)
     sequences = []
     vocab_set = set()
     trie: dict = {}
-    for ex in dataset:
+    for ex, (used_tables, _) in zip(dataset, used_items):
         tokens = skeleton_tokens(ex.sql)
         vocab_set.update(tokens)
         cues = question_cues(ex.question)
-        used_tables, _ = used_schema_items(
-            ex.sql, dataset.database(ex.db_id).schema
-        )
         sequences.append((tokens, cues, float(max(len(used_tables), 1))))
         for i in range(len(tokens)):
             trie.setdefault(tuple(tokens[:i]), set()).add(tokens[i])
@@ -376,10 +378,11 @@ def skeleton_training_data(dataset: Dataset) -> tuple:
 
 
 def train_skeleton_predictor(
-    dataset: Dataset, epochs: int = 12, seed: int = 0, rerank: bool = False
+    dataset: Dataset, epochs: int = 12, seed: int = 0, rerank: bool = False,
+    used_items: Optional[list] = None,
 ) -> SkeletonPredictor:
     """Build vocabulary and train the predictor on a dataset's skeletons."""
-    sequences, vocab, trie = skeleton_training_data(dataset)
+    sequences, vocab, trie = skeleton_training_data(dataset, used_items)
     predictor = SkeletonPredictor(vocab=vocab, trie=trie)
     predictor.fit(sequences, epochs=epochs, seed=seed)
     if rerank:

@@ -28,6 +28,13 @@ status it names.  The handler speaks HTTP/1.1 with keep-alive so
 closed-loop load generators reuse connections, and stays silent on
 stdout/stderr (request logging goes through the service's observer, not
 ``BaseHTTPRequestHandler.log_message``).
+
+Each response leaves in one socket write with Nagle's algorithm off, so
+a request on a reused connection never waits on the client's delayed
+ACK.  A body the handler cannot frame (bad or negative
+``Content-Length``, any ``Transfer-Encoding``, or one past
+:data:`MAX_BODY_BYTES`) is answered and then the connection is closed,
+since its unread bytes would otherwise be parsed as the next request.
 """
 
 from __future__ import annotations
@@ -57,6 +64,9 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
     sys_version = ""
+    # Sets TCP_NODELAY on each accepted socket: a response is one write
+    # (``_send``), so there is nothing for Nagle's algorithm to coalesce.
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -67,23 +77,30 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> NL2SQLService:
         return self.server.service
 
-    def _send_json(self, status: int, payload) -> None:
-        body = payload if isinstance(payload, (dict, list)) else payload.to_dict()
-        data = json.dumps(body, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+    def _send(self, status: int, content_type: str, data: bytes) -> None:
+        """Send one response, status line, headers and body, in one write.
 
-    def _send_text(self, status: int, text: str,
-                   content_type: str = "text/plain; charset=utf-8") -> None:
-        data = text.encode("utf-8")
+        A body written after its headers waits under Nagle's algorithm
+        for the client's delayed ACK of the headers (~40 ms).  HTTP/0.9
+        has no header block, so it gets the bare body.  A response on a
+        connection about to close says so.
+        """
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+            head = b"".join(self._headers_buffer)
+            self._headers_buffer = []
+        self.wfile.write(head + data)
+
+    def _send_json(self, status: int, payload) -> None:
+        body = payload if isinstance(payload, (dict, list)) else payload.to_dict()
+        data = json.dumps(body, sort_keys=True).encode("utf-8")
+        self._send(status, "application/json", data)
 
     def _send_error_envelope(self, status: int, code: str,
                              message: str) -> None:
@@ -96,17 +113,24 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
+            length = -1
+        if "Transfer-Encoding" in self.headers:
+            length = -1  # chunked bodies are not read
+        if 0 <= length <= MAX_BODY_BYTES:
+            return self.rfile.read(length)
+        # The unread body would be parsed as the next request.
+        self.close_connection = True
+        if length < 0:
             self._send_error_envelope(
-                400, "bad_request", "invalid Content-Length"
+                400, "bad_request",
+                "a body needs a valid Content-Length and no Transfer-Encoding",
             )
-            return None
-        if length > MAX_BODY_BYTES:
+        else:
             self._send_error_envelope(
                 413, "payload_too_large",
                 f"body exceeds {MAX_BODY_BYTES} bytes",
             )
-            return None
-        return self.rfile.read(length)
+        return None
 
     # -- routes -----------------------------------------------------------------
 
@@ -118,9 +142,9 @@ class _Handler(BaseHTTPRequestHandler):
             # scraper asking for text/plain gets Prometheus exposition.
             if "text/plain" in self.headers.get("Accept", ""):
                 status, text = self.service.prometheus()
-                self._send_text(
-                    status, text,
-                    "text/plain; version=0.0.4; charset=utf-8",
+                self._send(
+                    status, "text/plain; version=0.0.4; charset=utf-8",
+                    text.encode("utf-8"),
                 )
                 return
             status, payload = self.service.metrics()
@@ -173,6 +197,11 @@ class _Handler(BaseHTTPRequestHandler):
             data = json.loads(body.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             self._send_error_envelope(400, "bad_request", exception_text(exc))
+            return
+        except RecursionError:
+            self._send_error_envelope(
+                400, "bad_request", "invalid JSON: nested too deeply"
+            )
             return
         if not isinstance(data, dict):
             self._send_error_envelope(400, "bad_request", "expected an object")

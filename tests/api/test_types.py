@@ -92,6 +92,14 @@ class TestStrictness:
         with pytest.raises(WireFormatError, match="invalid JSON"):
             TranslateRequest.from_json("{not json")
 
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 50_000])
+    @pytest.mark.parametrize("cls", [TranslateRequest, ExecuteRequest])
+    def test_deeply_nested_json_rejected(self, cls, text):
+        # Past the decoder's recursion limit json.loads raises
+        # RecursionError, which must not escape the wire boundary.
+        with pytest.raises(WireFormatError, match="nested too deeply"):
+            cls.from_json(text)
+
     def test_non_object_rejected(self):
         with pytest.raises(WireFormatError, match="expected an object"):
             TranslateRequest.from_dict([1, 2])

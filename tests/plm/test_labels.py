@@ -1,8 +1,15 @@
 """Tests for gold-SQL schema-item label extraction."""
 
+import numpy as np
 import pytest
 
-from repro.plm import used_schema_items
+from repro.core import Purple, PurpleConfig
+from repro.core.prompt import PromptBuilder
+from repro.llm import MockLLM, profile_by_name
+from repro.plm import labels, used_schema_items
+from repro.plm.classifier import build_training_matrix
+from repro.plm.labels import dataset_used_items
+from repro.plm.skeleton_model import skeleton_training_data
 from repro.schema import Column, ForeignKey, Schema, Table
 
 
@@ -72,3 +79,41 @@ class TestUsedItems:
     def test_unknown_tables_ignored(self, schema):
         tables, columns = used_schema_items("SELECT x FROM mystery", schema)
         assert tables == set()
+
+
+class TestDatasetUsedItems:
+    def test_purple_fit_extracts_each_demonstration_once(self, train_set,
+                                                          monkeypatch):
+        calls = []
+        extract = labels.used_schema_items
+
+        def counting(sql, schema):
+            calls.append(sql)
+            return extract(sql, schema)
+
+        monkeypatch.setattr(labels, "used_schema_items", counting)
+        Purple(
+            MockLLM(profile_by_name("gpt4")),
+            PurpleConfig(classifier_epochs=1, skeleton_epochs=1),
+        ).fit(train_set)
+        assert calls == [ex.sql for ex in train_set]
+
+    def test_shared_labels_match_each_consumer_alone(self, train_set):
+        pool = train_set.subset(40)
+        used = dataset_used_items(pool)
+        for alone, shared in zip(build_training_matrix(pool),
+                                 build_training_matrix(pool, used)):
+            np.testing.assert_array_equal(alone, shared)
+        sequences, vocab, trie = skeleton_training_data(pool)
+        shared_sequences, shared_vocab, shared_trie = (
+            skeleton_training_data(pool, used)
+        )
+        assert (vocab, trie) == (shared_vocab, shared_trie)
+        for (tokens, cues, n), (s_tokens, s_cues, s_n) in zip(
+                sequences, shared_sequences):
+            assert (tokens, n) == (s_tokens, s_n)
+            np.testing.assert_array_equal(cues, s_cues)
+        alone, shared = PromptBuilder(pool), PromptBuilder(pool, used_items=used)
+        assert [alone.demo_block(i) for i in range(len(alone))] == [
+            shared.demo_block(i) for i in range(len(shared))
+        ]

@@ -14,6 +14,7 @@ from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
     NL2SQLService,
+    ReproServer,
     Tenant,
     TenantRegistry,
 )
@@ -44,3 +45,12 @@ def service(translator, dev_set):
     )
     yield svc
     svc.close()
+
+
+@pytest.fixture()
+def server(service):
+    """``service`` behind a started HTTP server on an ephemeral port."""
+    started = ReproServer(service, port=0).start()
+    yield started
+    started.shutdown()
+    started.server_close()

@@ -25,14 +25,6 @@ from repro.serve import (
 
 
 @pytest.fixture()
-def server(service):
-    started = ReproServer(service, port=0).start()
-    yield started
-    started.shutdown()
-    started.server_close()
-
-
-@pytest.fixture()
 def client(server):
     host, port = server.address
     conn = HTTPConnection(host, port, timeout=10)
