@@ -61,7 +61,7 @@ class PurpleConfig:
     # Misc
     seed: int = 0
     classifier_epochs: int = 300
-    skeleton_epochs: int = 150
+    skeleton_epochs: int = 15
 
     def generalization_step(self, p: int, iteration: int) -> int:
         """Apply the Increase-Generalization schedule to ``p``."""

@@ -171,8 +171,10 @@ def train_schema_classifier(
 ) -> SchemaItemClassifier:
     """Train the relevance classifier on a dataset's gold annotations."""
     X, y = build_training_matrix(dataset, used_items)
-    rng = derive_rng(seed, "classifier")
-    order = rng.permutation(len(y))
+    # Shuffle rows in place, X and y by the same draws: the matrix
+    # ``X[rng.permutation(n)]`` without a second copy of it.
+    derive_rng(seed, "classifier").shuffle(X)
+    derive_rng(seed, "classifier").shuffle(y)
     classifier = SchemaItemClassifier()
-    classifier.fit(X[order], y[order], epochs=epochs)
+    classifier.fit(X, y, epochs=epochs)
     return classifier

@@ -24,7 +24,9 @@ The three live-telemetry GET routes answer 501 when the service was
 built without a :class:`~repro.obs.live.LiveTelemetry` layer.
 
 Every error is an :class:`~repro.api.types.ErrorEnvelope` with the HTTP
-status it names.  The handler speaks HTTP/1.1 with keep-alive so
+status it names, a request the stdlib refuses before routing (an
+unsupported method, a malformed request line or header block) included.
+The handler speaks HTTP/1.1 with keep-alive so
 closed-loop load generators reuse connections, and stays silent on
 stdout/stderr (request logging goes through the service's observer, not
 ``BaseHTTPRequestHandler.log_message``).
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import json
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import unquote
@@ -107,6 +110,34 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(
             status,
             ErrorEnvelope(code=code, message=message, status=status),
+        )
+
+    def send_error(self, code, message=None, explain=None):
+        """Answer a request the stdlib refuses before routing (an
+        unsupported method, a malformed request line or header block)
+        with an :class:`ErrorEnvelope`, in one write, and close.
+
+        A refused 4xx request is ``bad_request``, a 5xx one (a method or
+        HTTP version the server does not speak) ``unsupported``; the
+        status is the stdlib's.  A HEAD request gets the headers alone.
+        Only a two-word request line is HTTP/0.9, but the stdlib leaves
+        any line it cannot parse at HTTP/0.9 too, which would drop the
+        status line: those are answered as HTTP/1.1.
+        """
+        if (self.request_version == "HTTP/0.9"
+                and len(self.requestline.split()) != 2):
+            self.request_version = self.protocol_version
+        self.close_connection = True
+        status = HTTPStatus(code)
+        if self.command == "HEAD":
+            self._send(int(status), "application/json", b"")
+            return
+        message = message or status.phrase
+        if explain:
+            message = f"{message}: {explain}"
+        self._send_error_envelope(
+            int(status), "unsupported" if status >= 500 else "bad_request",
+            message,
         )
 
     def _read_body(self) -> Optional[bytes]:

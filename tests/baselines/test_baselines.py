@@ -1,5 +1,7 @@
 """Tests for the baseline approaches."""
 
+import hashlib
+
 import pytest
 
 from repro.baselines import (
@@ -23,6 +25,14 @@ from repro.llm import (
     MockLLM,
     ResilientLLM,
     RetryPolicy,
+)
+
+
+#: sha256 of PLM-seq2seq's float32 skeleton-predictor weights on the
+#: fixture corpus: 12 epochs of plain SGD, seed 0, the fit its Table-4
+#: row is calibrated with.
+PLM_SKELETON_WEIGHTS_SHA256 = (
+    "df183256cbe36921b61997943513bedceda408670bcb8091931a221735d1e64a"
 )
 
 
@@ -144,6 +154,12 @@ class TestPLMSeq2SQL:
         plm = PLMSeq2SQL(demo_pool=train_set)
         report = evaluate_approach(plm, dev_set, limit=40)
         assert report.em > 0.4  # fine-tuned family: strong EM even tiny-scale
+
+    def test_keeps_its_plain_sgd_skeleton_fit(self, train_set):
+        plm = PLMSeq2SQL(demo_pool=train_set)
+        weights = plm.skeleton_module.predictor.weights
+        digest = hashlib.sha256(weights.tobytes()).hexdigest()
+        assert digest == PLM_SKELETON_WEIGHTS_SHA256
 
 
 class TestRelativeOrdering:

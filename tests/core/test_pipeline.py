@@ -133,7 +133,7 @@ class TestPipeline:
 #: prediction, Algorithm-1 selection, prompt packing, adaption or voting
 #: moves it.
 OUTPUT_PIN = (
-    "810c6403a35e311009bf3f35871f83f818497b6aea8b03f709eb608cfac22cd5"
+    "82b9c7223384263b4f5db1946f2b966c27afa94e3ac60514f7bde45fe7e77e2a"
 )
 
 

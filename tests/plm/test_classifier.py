@@ -1,13 +1,14 @@
 """Tests for the schema-item relevance classifier."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.plm import schema_item_features, train_schema_classifier
 from repro.plm.classifier import SchemaItemClassifier, build_training_matrix
-from repro.plm.labels import used_schema_items
+from repro.plm.labels import dataset_used_items, used_schema_items
 
 # sha256 pins on the fixture corpus, recorded from the per-item featurizer.
 CLASSIFIER_WEIGHTS_SHA256 = (
@@ -68,6 +69,27 @@ class TestTrainingMatrix:
     def test_matrix_is_bit_identical(self, train_set):
         X, y = build_training_matrix(train_set)
         assert (sha256(X), sha256(y)) == (TRAINING_X_SHA256, TRAINING_Y_SHA256)
+
+    def test_training_does_not_hold_an_unshuffled_copy(self, train_set,
+                                                       monkeypatch):
+        """When the fit starts, the traced heap holds the shuffled (X, y)
+        once: an unshuffled copy kept alongside would double it."""
+        X, y = build_training_matrix(train_set)
+        used = dataset_used_items(train_set)
+        held = []
+        fit = SchemaItemClassifier.fit
+
+        def recording_fit(self, *args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(SchemaItemClassifier, "fit", recording_fit)
+        tracemalloc.start()
+        try:
+            train_schema_classifier(train_set, epochs=1, used_items=used)
+        finally:
+            tracemalloc.stop()
+        assert held[0] < 1.5 * (X.nbytes + y.nbytes)
 
 
 class TestFocalLossFit:

@@ -1,6 +1,7 @@
 """The HTTP transport under ``repro serve``: one write per response with
-Nagle's algorithm off, framing errors that close the connection, and a
-typed 400 for JSON nested past the decoder's recursion limit.
+Nagle's algorithm off, framing errors that close the connection, typed
+envelopes for requests the stdlib refuses before routing, and a typed
+400 for JSON nested past the decoder's recursion limit.
 
 Every client here is a raw socket with a timeout, so a regression (a
 stalled or dropped response) fails within seconds instead of hanging.
@@ -178,6 +179,51 @@ class TestFramingErrors:
         assert status == 413
         assert body_of(raw)["code"] == "payload_too_large"
         assert headers["connection"] == "close"
+
+
+class TestStdlibRefusals:
+    """Requests the stdlib refuses before any route runs."""
+
+    @pytest.mark.parametrize("request_bytes, status, code", [
+        (b"PUT /v1/health HTTP/1.1\r\nHost: t\r\n\r\n",
+         501, "unsupported"),
+        (b"GET /v1 health HTTP/1.1\r\nHost: t\r\n\r\n",
+         400, "bad_request"),
+        (b"GET /v1/health HTTP/one\r\nHost: t\r\n\r\n",
+         400, "bad_request"),
+        (b"GET /v1/health HTTP/1.1\r\n"
+         + b"".join(b"X-%d: v\r\n" % i for i in range(101)) + b"\r\n",
+         431, "bad_request"),
+        (b"GET /v1/health HTTP/2.0\r\nHost: t\r\n\r\n",
+         505, "unsupported"),
+    ], ids=["unsupported-method", "bad-request-line", "bad-version",
+            "too-many-headers", "unsupported-version"])
+    def test_get_an_envelope_in_one_write_and_close(self, server, wire,
+                                                    request_bytes, status,
+                                                    code):
+        with connect(server) as sock:
+            sock.sendall(request_bytes)
+            got, headers, raw = read_response(sock)
+            assert read_until_closed(sock) == b""
+        assert got == status
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        envelope = body_of(raw)
+        assert (envelope["status"], envelope["code"]) == (status, code)
+        assert envelope["message"]
+        assert wire["writes"] == [raw]
+
+    def test_head_gets_the_headers_without_a_body(self, server, wire):
+        with connect(server) as sock:
+            sock.sendall(b"HEAD /v1/health HTTP/1.1\r\nHost: t\r\n\r\n")
+            got, headers, raw = read_response(sock)
+            assert read_until_closed(sock) == b""
+        assert got == 501
+        assert headers["content-type"] == "application/json"
+        assert headers["content-length"] == "0"
+        assert headers["connection"] == "close"
+        assert raw.endswith(b"\r\n\r\n")
+        assert wire["writes"] == [raw]
 
 
 class TestDeepNesting:
