@@ -2,8 +2,7 @@
 
 Regenerates: full pipeline, −Schema Pruning, −Steiner Tree (RESDSQL-style
 pruning), −Demonstration Selection (random demos), −Database Adaption,
-and +Oracle Skeleton.  Extra (beyond the paper): a consistency-off
-ablation and a τ_p sweep sanity check.
+and +Oracle Skeleton.  The τ_p sweep lives in ``bench_fig12_robustness.py``.
 """
 
 import pytest
@@ -96,52 +95,3 @@ def test_table6_ablation(benchmark, table6_reports, record):
     # The oracle skeleton helps (paper: +2.7 EM / +2.0 EX).
     assert r["+Oracle Skeleton"].em >= base.em
     assert r["+Oracle Skeleton"].ex >= base.ex - 0.01
-
-
-EXTENSIONS = (
-    ("+Function Mapping (§IV-D1 future work)", {"map_functions": True}),
-    ("+Synthetic Demos (§VII future work)", {"use_synthesis": True}),
-)
-
-
-def test_table6_extensions(benchmark, zoo, reports, table6_reports, record):
-    """Beyond the paper: the future-work features as additive ablations."""
-    from repro.eval import evaluate_approach
-    from repro.llm import CHATGPT
-
-    base = table6_reports["PURPLE (ChatGPT)"]
-
-    def run():
-        out = {}
-        for name, overrides in EXTENSIONS:
-            pipeline = zoo.purple(CHATGPT, **overrides)
-            report = reports.report(f"table6ext/{name}", pipeline)
-            out[name] = (report.em, report.ex)
-        return out
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        (
-            name,
-            f"{pct(em)} ({pct(em - base.em)})",
-            f"{pct(ex)} ({pct(ex - base.ex)})",
-        )
-        for name, (em, ex) in table.items()
-    ]
-    print_table(
-        "Table 6 extensions — future-work features (vs PURPLE ChatGPT)",
-        ["Strategy", "EM%", "EX%"],
-        rows,
-    )
-    record("table6_extensions", {k: list(v) for k, v in table.items()})
-
-    # Synthetic demos must not hurt.  Function mapping may cost a little
-    # here: in this corpus CONCAT is always a hallucination, so omitting
-    # the call (the paper's "immediate solution") reconstructs the gold
-    # projection while a faithful dialect translation preserves the
-    # hallucinated concatenation — an instructive negative result for the
-    # paper's "optimal solution" assumption.
-    for name, (em, ex) in table.items():
-        tolerance = 0.05 if "Function Mapping" in name else 0.02
-        assert em >= base.em - tolerance, name
-        assert ex >= base.ex - tolerance, name

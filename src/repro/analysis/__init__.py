@@ -18,15 +18,6 @@ from repro.analysis.diagnostics import (
     Span,
     record_diagnostics,
 )
-from repro.analysis.dialects import (
-    DIALECT_FATAL_RULES,
-    DIALECT_RULES,
-    PROFILES,
-    DialectAnalyzer,
-    DialectProfile,
-    analyze_dialect,
-    get_profile,
-)
 from repro.analysis.pylint import (
     PACKAGE_ROOT,
     REGISTRY,
@@ -48,13 +39,6 @@ __all__ = [
     "Diagnostic",
     "Span",
     "record_diagnostics",
-    "DIALECT_FATAL_RULES",
-    "DIALECT_RULES",
-    "PROFILES",
-    "DialectAnalyzer",
-    "DialectProfile",
-    "analyze_dialect",
-    "get_profile",
     "PACKAGE_ROOT",
     "REGISTRY",
     "FileContext",

@@ -519,57 +519,3 @@ def _unused_import(ctx: FileContext):
                 yield node, f"unused import {name}", {
                     "waiver": "# noqa: unused-import",
                 }
-
-
-#: Dialect-specific SQL surface syntax that must not be hardcoded:
-#: backtick-quoted identifiers (MySQL) and the ANSI FETCH FIRST limit
-#: form (Postgres-preferred).  Double backticks are rst code markup in
-#: docstrings, not SQL, so the identifier branch requires a *single*
-#: backtick on each side.
-_DIALECT_FRAGMENT = re.compile(
-    r"(?<!`)`[A-Za-z_]\w*`(?!`)|\bFETCH\s+FIRST\b",
-    re.IGNORECASE,
-)
-
-
-@rule(
-    "py.no-inline-dialect-literal",
-    "dialect-specific SQL fragments outside the renderer and the "
-    "capability matrix drift when a dialect's surface changes; render "
-    "through repro.sqlkit.render or consult repro.analysis.dialects",
-    allowed=(
-        # The renderer emits dialect surface syntax by design, and the
-        # capability matrix's rule messages quote it to explain fixes.
-        "repro/sqlkit/render.py",
-        "repro/analysis/dialects.py",
-    ),
-)
-def _no_inline_dialect_literal(ctx: FileContext):
-    docstrings = set()
-    for node in ast.walk(ctx.tree):
-        if isinstance(
-            node,
-            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
-        ):
-            body = node.body
-            if (
-                body
-                and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-            ):
-                docstrings.add(id(body[0].value))
-    for node in ast.walk(ctx.tree):
-        if not (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and id(node) not in docstrings
-        ):
-            continue
-        match = _DIALECT_FRAGMENT.search(node.value)
-        if match is not None:
-            yield node, (
-                f"inline dialect-specific SQL fragment {match.group(0)!r}"
-            ), {
-                "replace_with": "repro.sqlkit.render.render_sql(..., dialect)",
-                "waiver": "# noqa: no-inline-dialect-literal",
-            }

@@ -100,22 +100,11 @@ SQLITE_FUNCTIONS = frozenset({
 })
 
 
-#: Rules other analysis layers register as guard-eligible (the dialect
-#: module adds its fatal ``dlct.*`` rules here at import time).
-_EXTRA_FATAL_RULES: set = set()
-
-
-def register_fatal_rules(rules) -> None:
-    """Mark additional rule ids as statically dooming execution."""
-    _EXTRA_FATAL_RULES.update(rules)
-
-
 def fatal_diagnostics(diagnostics: list) -> list:
     """The subset that statically dooms execution (guard-eligible)."""
     return [
         d for d in diagnostics
-        if d.severity == "error"
-        and (d.rule in FATAL_RULES or d.rule in _EXTRA_FATAL_RULES)
+        if d.severity == "error" and d.rule in FATAL_RULES
     ]
 
 

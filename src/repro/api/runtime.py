@@ -34,8 +34,7 @@ def make_llm(llm_name: str, cache_dir=None):
 
 
 def build_approach(name: str, llm, train, budget: int, consistency: int,
-                   repair_rounds: int = 0, repair_token_budget=None,
-                   dialect: str = "sqlite"):
+                   repair_rounds: int = 0, repair_token_budget=None):
     """Construct (and fit) an approach through the registry.
 
     Raises :class:`RuntimeConfigError` when a purple-only knob is
@@ -55,12 +54,6 @@ def build_approach(name: str, llm, train, budget: int, consistency: int,
         extra["repair_rounds"] = repair_rounds
         if repair_token_budget is not None:
             extra["repair_token_budget"] = repair_token_budget
-    if dialect != "sqlite":
-        if name != "purple":
-            raise RuntimeConfigError(
-                "--dialect applies to the purple approach only"
-            )
-        extra["dialect"] = dialect
     return api.create(
         name, llm=llm, train=train, budget=budget,
         consistency_n=consistency, **extra,

@@ -5,9 +5,10 @@ Every surface that moves a translation across a process boundary — the
 and the ``repro translate`` CLI command — speaks these frozen dataclasses
 and nothing else.  Each type carries a ``schema_version`` field and
 round-trips through ``to_json``/``from_json``; unknown fields and
-mismatched versions are rejected at the boundary with a
-:class:`WireFormatError` rather than surfacing as attribute errors deep
-inside the pipeline.
+mismatched versions (or a non-integer ``schema_version``) and request
+strings that are not valid UTF-8 text are rejected at the boundary with a
+:class:`WireFormatError` rather than surfacing as attribute or encoding
+errors deep inside the pipeline.
 
 The wire types are deliberately *flat* (strings, numbers, tuples of
 plain dicts): an engine-level :class:`~repro.eval.harness.TranslationTask`
@@ -34,11 +35,33 @@ class WireFormatError(ValueError):
 
 def _check_version(data: dict, cls_name: str) -> None:
     version = data.get("schema_version", SCHEMA_VERSION)
+    # bool is an int subclass and ``True == 1``: check the type first.
+    if type(version) is not int:
+        raise WireFormatError(
+            f"{cls_name}: schema_version must be an integer, "
+            f"got {type(version).__name__}"
+        )
     if version != SCHEMA_VERSION:
         raise WireFormatError(
             f"{cls_name}: unsupported schema_version {version!r} "
             f"(this build speaks {SCHEMA_VERSION})"
         )
+
+
+def check_text(cls_name: str, field: str, value: str) -> None:
+    """Reject a string that cannot be encoded as UTF-8.
+
+    JSON may carry a lone UTF-16 surrogate escape (``"\\ud800"``), which
+    decodes to a Python string that every UTF-8 consumer downstream
+    (hashing, SQLite) refuses with ``UnicodeEncodeError``.
+    """
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise WireFormatError(
+            f"{cls_name}: {field} is not valid UTF-8 text "
+            f"(lone surrogate at position {exc.start})"
+        ) from exc
 
 
 def _from_dict(cls, data: dict):
@@ -70,14 +93,23 @@ def _from_json(cls, text):
     return _from_dict(cls, data)
 
 
-def _check_routing(request) -> None:
-    """``tenant``/``request_id`` key dicts and trace lookups downstream:
-    reject anything but strings here, at the boundary."""
+def _check_request(request) -> None:
+    """Checks both request types share.
+
+    ``tenant``/``request_id`` key dicts and trace lookups downstream:
+    reject anything but strings here, at the boundary.  Every text field
+    must be valid UTF-8, whether it arrived as JSON or as a command-line
+    argument (undecodable argv bytes become lone surrogates).
+    """
     name = type(request).__name__
     if not isinstance(request.tenant, str) or not request.tenant:
         raise WireFormatError(f"{name}: tenant must be a non-empty string")
     if not isinstance(request.request_id, str):
         raise WireFormatError(f"{name}: request_id must be a string")
+    for f in dataclasses.fields(request):
+        value = getattr(request, f.name)
+        if isinstance(value, str):
+            check_text(name, f.name, value)
 
 
 class _WireMixin:
@@ -124,7 +156,7 @@ class TranslateRequest(_WireMixin):
         if not isinstance(self.db_id, str) or not self.db_id:
             raise WireFormatError("TranslateRequest: db_id must be a "
                                   "non-empty string")
-        _check_routing(self)
+        _check_request(self)
 
 
 @dataclass(frozen=True)
@@ -218,7 +250,7 @@ class ExecuteRequest(_WireMixin):
         if not isinstance(self.db_id, str) or not self.db_id:
             raise WireFormatError("ExecuteRequest: db_id must be a "
                                   "non-empty string")
-        _check_routing(self)
+        _check_request(self)
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,7 @@ def _load(path: str) -> Dataset:
 
 
 def _build_approach(name: str, llm, train: Dataset, budget: int,
-                    consistency: int, repair_rounds=0, repair_token_budget=None,
-                    dialect="sqlite"):
+                    consistency: int, repair_rounds=0, repair_token_budget=None):
     """Registry construction with CLI error rendering.
 
     The assembly itself lives in :func:`repro.api.runtime.build_approach`
@@ -85,7 +84,6 @@ def _build_approach(name: str, llm, train: Dataset, budget: int,
             name, llm, train, budget, consistency,
             repair_rounds=repair_rounds,
             repair_token_budget=repair_token_budget,
-            dialect=dialect,
         )
     except (RuntimeConfigError, api.UnknownApproachError) as exc:
         raise SystemExit(exception_text(exc))
@@ -122,11 +120,10 @@ def _cmd_evaluate(args) -> int:
             args.approach, llm, train, args.budget, args.consistency,
             repair_rounds=args.repair_rounds,
             repair_token_budget=args.repair_token_budget,
-            dialect=args.dialect,
         )
     report = evaluate_approach(
         approach, dev, limit=args.limit, workers=args.workers,
-        observer=observer, dialect=args.dialect,
+        observer=observer,
     )
     render.out(
         f"{approach.name}: EM {report.em:.1%}  EX {report.ex:.1%}  "
@@ -183,8 +180,15 @@ def _cmd_evaluate(args) -> int:
 def _cmd_translate(args) -> int:
     from repro import api
     from repro.api.runtime import make_llm
-    from repro.api.types import TranslateRequest
+    from repro.api.types import TranslateRequest, WireFormatError
+    from repro.schema import exception_text
 
+    # The same wire request the HTTP service speaks (repro.api.types),
+    # checked before any training.
+    try:
+        request = TranslateRequest(question=args.question, db_id=args.db_id)
+    except WireFormatError as exc:
+        raise SystemExit(exception_text(exc))
     train = _load(args.train)
     dev = _load(args.dev)
     if args.db_id not in dev.databases:
@@ -195,8 +199,6 @@ def _cmd_translate(args) -> int:
                                args.budget, args.consistency,
                                repair_rounds=args.repair_rounds,
                                repair_token_budget=args.repair_token_budget)
-    # The same wire request the HTTP service speaks (repro.api.types).
-    request = TranslateRequest(question=args.question, db_id=args.db_id)
     response = api.translate(
         approach, request, database=dev.database(args.db_id)
     )
@@ -344,22 +346,19 @@ def _cmd_lint(args) -> int:
 def _cmd_analyze(args) -> int:
     import json
 
-    from repro.analysis import analyze_dialect
+    from repro.analysis import analyze_sql
 
     dataset = _load(args.dataset)
     if args.db not in dataset.databases:
         raise SystemExit(
             f"unknown db_id {args.db!r}; available: {dataset.db_ids()}"
         )
-    diagnostics = analyze_dialect(
-        args.sql, dataset.database(args.db).schema, args.dialect
-    )
+    diagnostics = analyze_sql(args.sql, dataset.database(args.db).schema)
     if args.format == "json":
         render.out(json.dumps(
             {
                 "sql": args.sql,
                 "db_id": args.db,
-                "dialect": args.dialect,
                 "diagnostics": [d.as_dict() for d in diagnostics],
             },
             indent=2,
@@ -444,12 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: unlimited)",
     )
     e.add_argument("--by-hardness", action="store_true")
-    e.add_argument(
-        "--dialect", default="sqlite", choices=["sqlite", "postgres"],
-        help="execution axis: sqlite (real backend) or postgres "
-             "(simulated profile; errors and repair speak Postgres "
-             "— see docs/dialects.md)",
-    )
     e.set_defaults(func=_cmd_evaluate)
 
     t = sub.add_parser("translate", help="translate one question with PURPLE")
@@ -588,12 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("sql", help="the SQL text to analyze")
     a.add_argument("--db", required=True, help="database id in the dataset")
     a.add_argument("--dataset", default="corpus/dev.json")
-    a.add_argument(
-        "--dialect", default="sqlite",
-        choices=["sqlite", "postgres", "mysql"],
-        help="target dialect for portability findings (dlct.* rules; "
-             "default sqlite checks the native surface only)",
-    )
     a.add_argument("--format", default="text", choices=["text", "json"])
     a.set_defaults(func=_cmd_analyze)
     return parser

@@ -19,13 +19,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.diagnostics import record_diagnostics
-from repro.analysis.dialects import DialectAnalyzer
 from repro.analysis.sqlcheck import SQLAnalyzer
 from repro.obs import runtime as obs
 from repro.schema import Database, SchemaGraph, SQLiteExecutor
 from repro.sqlkit.ast_nodes import (
     Agg,
-    BinaryOp,
     ColumnRef,
     Comparison,
     FuncCall,
@@ -58,36 +56,17 @@ class RepairOutcome:
 
 
 class DatabaseAdapter:
-    """Adapts LLM output to the target database schema and dialect.
+    """Adapts LLM output to the target database schema."""
 
-    ``map_functions=True`` enables the paper's stated future-work upgrade
-    of the Function-Hallucination repair: instead of omitting an
-    unsupported function call, translate it to the target dialect
-    (``CONCAT(a, b)`` → SQLite's ``a || b``).
-    """
-
-    def __init__(
-        self,
-        executor: SQLiteExecutor,
-        max_attempts: int = 5,
-        map_functions: bool = False,
-        dialect: str = "sqlite",
-    ):
+    def __init__(self, executor: SQLiteExecutor, max_attempts: int = 5):
         self.executor = executor
         self.max_attempts = max_attempts
-        self.map_functions = map_functions
-        self.dialect = dialect
         self._analyzers: dict = {}
 
     def _analyzer(self, database: Database) -> SQLAnalyzer:
         analyzer = self._analyzers.get(database.db_id)
         if analyzer is None:
-            if self.dialect == "sqlite":
-                analyzer = SQLAnalyzer(database.schema)
-            else:
-                analyzer = DialectAnalyzer(
-                    database.schema, dialect=self.dialect
-                )
+            analyzer = SQLAnalyzer(database.schema)
             self._analyzers[database.db_id] = analyzer
         return analyzer
 
@@ -172,8 +151,7 @@ class DatabaseAdapter:
         fixer_by_name = dict(_FIXERS)
         for phase, names in (("directed", directed), ("probed", probed)):
             for name in names:
-                mutated = self._run_fixer(fixer_by_name[name], name, query,
-                                          database)
+                mutated = fixer_by_name[name](query, database)
                 if mutated is not None:
                     rules = ()
                     if phase == "directed":
@@ -183,11 +161,6 @@ class DatabaseAdapter:
                         )
                     return diagnostics, (render_sql(mutated), name, phase, rules)
         return diagnostics, None
-
-    def _run_fixer(self, fixer, name: str, query, database: Database):
-        if name == "function_hallucination":
-            return fixer(query, database, map_functions=self.map_functions)
-        return fixer(query, database)
 
 
 # ---------------------------------------------------------------------------
@@ -207,27 +180,16 @@ def _bindings(core: SelectCore) -> dict:
     return bindings
 
 
-def fix_function_hallucination(
-    query: Query, database: Database, map_functions: bool = False
-) -> Optional[Query]:
+def fix_function_hallucination(query: Query, database: Database) -> Optional[Query]:
     """CONCAT and friends are unsupported in SQLite.
 
-    Default behaviour follows §IV-D1's "immediate solution": keep the
-    first column argument and omit the call.  With ``map_functions`` the
-    paper's future-work upgrade applies instead: translate the call to the
-    target dialect (``CONCAT(a, b)`` → ``a || b``).
+    Follows §IV-D1's "immediate solution": keep the first column argument
+    and omit the call.
     """
     changed = False
     for core in _all_cores(query):
         for item in core.items:
             if not isinstance(item.expr, FuncCall):
-                continue
-            if map_functions and item.expr.name == "CONCAT" and item.expr.args:
-                mapped = item.expr.args[0]
-                for arg in item.expr.args[1:]:
-                    mapped = BinaryOp(op="||", left=mapped, right=arg)
-                item.expr = mapped
-                changed = True
                 continue
             replacement = next(
                 (a for a in item.expr.args if isinstance(a, ColumnRef)),

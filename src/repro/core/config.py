@@ -42,9 +42,6 @@ class PurpleConfig:
     use_adaption: bool = True
     max_repair_attempts: int = 5
     consistency_n: int = 30
-    # Future-work extensions (§IV-D1 / §VII), off by default.
-    map_functions: bool = False       # dialect function mapping repair
-    use_synthesis: bool = False       # generation-based prompting fallback
 
     # Execution-feedback repair (docs/repair.md), off by default: with
     # repair_rounds = 0 the pipeline is byte-identical to a loop-free
@@ -52,11 +49,6 @@ class PurpleConfig:
     # (None = unlimited; see RepairBudget for the determinism contract).
     repair_rounds: int = 0
     repair_token_budget: Optional[int] = None
-
-    # Execution dialect axis (docs/dialects.md): "sqlite" is the real
-    # backend; "postgres" the simulated profile.  Guard, adapter, and
-    # repair all target the same dialect as the executor.
-    dialect: str = "sqlite"
 
     # Misc
     seed: int = 0

@@ -37,7 +37,7 @@ from repro.plm.classifier import train_schema_classifier
 from repro.plm.labels import dataset_used_items
 from repro.repair import RepairBudget, RepairLoop
 from repro.plm.skeleton_model import train_skeleton_predictor
-from repro.schema import make_executor
+from repro.schema import SQLiteExecutor
 from repro.spider.dataset import Dataset
 from repro.sqlkit.skeleton import skeleton_tokens
 from repro.utils.rng import derive_rng, stable_hash
@@ -56,12 +56,9 @@ class Purple:
         self.llm = llm
         self.config = config or PurpleConfig()
         self.name = f"PURPLE({llm.name})"
-        self.executor = make_executor(self.config.dialect)
+        self.executor = SQLiteExecutor()
         self.adapter = DatabaseAdapter(
-            self.executor,
-            max_attempts=self.config.max_repair_attempts,
-            map_functions=self.config.map_functions,
-            dialect=self.config.dialect,
+            self.executor, max_attempts=self.config.max_repair_attempts
         )
         # The repair budget is run-wide: one ledger shared by every
         # worker translating through this instance (docs/repair.md).
@@ -181,27 +178,6 @@ class Purple:
             else:
                 demo_order = []
 
-        # Step 3b — generation-based prompting (§VII future work): when
-        # retrieval found nothing at the fine-grained levels, synthesize a
-        # demonstration by instantiating the predicted skeleton over the
-        # task's own schema.
-        extra_blocks = []
-        if cfg.use_synthesis and skeletons and min_rung < self.max_demotion:
-            top = skeletons[0]
-            if not self.automaton.match(1, top.tokens) and not self.automaton.match(
-                2, top.tokens
-            ):
-                from repro.core.synthesis import synthesize_sql
-                from repro.llm.promptfmt import render_demo
-
-                synthetic = synthesize_sql(
-                    top.tokens, schema, task.database, executor=self.executor
-                )
-                if synthetic is not None:
-                    extra_blocks.append(
-                        render_demo(schema_text, task.question, synthetic)
-                    )
-
         # Step 4 — prompt assembly and the LLM call, walked down the
         # degradation ladder: the full prompt first (the exact request a
         # fault-free run makes), then fewer demonstrations at half the
@@ -218,7 +194,6 @@ class Purple:
                 demo_order,
                 budget=cfg.input_budget,
                 rng=rng,
-                extra_blocks=extra_blocks,
             )
 
         def _half_budget_request() -> LLMRequest:

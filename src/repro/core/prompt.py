@@ -73,25 +73,12 @@ class PromptBuilder:
         budget: int,
         rng: Optional[np.random.Generator] = None,
         instructions: str = "",
-        extra_blocks: Optional[list] = None,
     ) -> str:
-        """Assemble the prompt within ``budget`` input tokens.
-
-        ``extra_blocks`` are pre-rendered ``### Example`` blocks placed
-        before the pool demonstrations (used by the generation-based
-        prompting extension).
-        """
+        """Assemble the prompt within ``budget`` input tokens."""
         task_block = render_task(task_schema_text, question)
         used = count_tokens(task_block) + (
             count_tokens(instructions) + 4 if instructions else 0
         )
-        head_blocks = []
-        for block in extra_blocks or []:
-            cost = count_tokens(block) + 2
-            if used + cost > budget:
-                continue
-            head_blocks.append(block)
-            used += cost
         chosen: list = []
         chosen_set: set = set()
         for index in demo_order:
@@ -113,7 +100,7 @@ class PromptBuilder:
                 chosen.append(index)
                 chosen_set.add(index)
                 used += cost
-        demos = head_blocks + [self._blocks[i] for i in chosen]
+        demos = [self._blocks[i] for i in chosen]
         return build_prompt(
             task_schema_text, question, demos=demos, instructions=instructions
         )

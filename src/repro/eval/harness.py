@@ -23,7 +23,7 @@ from repro.llm.errors import LLMError, failure_fields
 from repro.obs import runtime as obs
 from repro.obs.report import stage_totals
 from repro.obs.telemetry import RunTelemetry
-from repro.schema import Database, SQLiteExecutor, exception_text, make_executor
+from repro.schema import Database, SQLiteExecutor, exception_text
 from repro.spider.dataset import Dataset
 
 HARDNESS_ORDER = ("easy", "medium", "hard", "extra")
@@ -143,8 +143,6 @@ class EvaluationReport:
     approach: str
     dataset: str
     outcomes: list = field(default_factory=list)
-    #: execution axis the run was scored on ("sqlite" or "postgres")
-    dialect: str = "sqlite"
     timing: Optional[RunTiming] = None
     telemetry: Optional[RunTelemetry] = None
 
@@ -248,7 +246,6 @@ def evaluate_approach(
     limit: Optional[int] = None,
     workers: int = 1,
     observer=None,
-    dialect: str = "sqlite",
 ) -> EvaluationReport:
     """Run ``approach`` over ``dataset`` and compute EM/EX (and TS when
     suites are supplied as ``{db_id: TestSuite}``).
@@ -263,19 +260,8 @@ def evaluate_approach(
     stack feeds the metrics registry, and the report's ``telemetry``
     field carries the roll-up.  Outcomes are byte-identical with or
     without one.
-
-    ``dialect`` picks the execution axis: ``sqlite`` (the default,
-    byte-identical to the historical harness) or ``postgres`` (the
-    simulated profile from :mod:`repro.schema.dialect_backend`), whose
-    failed executions carry dialect-specific error codes into the repair
-    loop.  ``dialect`` scores EX only: the TS suites execute on SQLite
-    databases on either axis, so on ``postgres`` a prediction the
-    profile refuses (say ``IFNULL(COUNT(*), 0)``) scores EX=False and
-    can still score TS=True.
     """
-    report = EvaluationReport(
-        approach=approach.name, dataset=dataset.name, dialect=dialect
-    )
+    report = EvaluationReport(approach=approach.name, dataset=dataset.name)
     examples = dataset.examples[:limit] if limit else dataset.examples
     needed_dbs = sorted({ex.db_id for ex in examples})
 
@@ -288,7 +274,7 @@ def evaluate_approach(
     def _executor() -> SQLiteExecutor:
         executor = getattr(thread_state, "executor", None)
         if executor is None:
-            executor = make_executor(dialect)
+            executor = SQLiteExecutor()
             for db_id in needed_dbs:
                 executor.register(dataset.database(db_id))
             thread_state.executor = executor

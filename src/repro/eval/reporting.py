@@ -60,28 +60,15 @@ def telemetry_summary(report: EvaluationReport) -> dict:
 
 
 def diagnostics_summary(report: EvaluationReport) -> dict:
-    """Static-analysis roll-up: per-rule counts plus the dialect block.
+    """Static-analysis roll-up: per-rule counts.
 
     Empty for unobserved runs, or observed runs where no diagnostic was
-    recorded (no diagnosis-directed repairs and no dialect refusals).
+    recorded (no diagnosis-directed repairs).
     """
     telemetry = report.telemetry
     if telemetry is None or not telemetry.diagnostics:
         return {}
-    summary = {"rules": dict(telemetry.diagnostics)}
-    if telemetry.dialect_checked or telemetry.dialect_rejections:
-        summary["dialect"] = {
-            "name": report.dialect,
-            "checked": telemetry.dialect_checked,
-            "findings": telemetry.dialect_findings,
-            "rejections": telemetry.dialect_rejections,
-            "rules": {
-                rule: count
-                for rule, count in telemetry.diagnostics.items()
-                if rule.startswith("dlct.")
-            },
-        }
-    return summary
+    return {"rules": dict(telemetry.diagnostics)}
 
 
 def performance_table(report: EvaluationReport) -> str:

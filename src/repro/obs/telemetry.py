@@ -17,9 +17,8 @@ from dataclasses import dataclass, field, fields
 from repro.obs.metrics import MetricsSnapshot
 
 #: Where :meth:`RunTelemetry.from_metrics` reads each field: ``(field,
-#: metric, kind)``.  ``counter`` reads the unlabelled counter, ``total``
-#: sums the counter over all its label sets, and ``labelled`` keeps the
-#: per-label counts as a key-sorted dict.  ``events`` is not a metric
+#: metric, kind)``.  ``counter`` reads the unlabelled counter and
+#: ``labelled`` keeps the per-label counts as a key-sorted dict.  ``events`` is not a metric
 #: and is passed in by the caller.
 _SOURCES = (
     ("tasks", "tasks.evaluated", "counter"),
@@ -41,9 +40,6 @@ _SOURCES = (
     ("repair_success_depth", "repair.success_depth", "labelled"),
     ("repair_abandoned", "repair.abandoned", "labelled"),
     ("diagnostics", "analysis.rule", "labelled"),
-    ("dialect_checked", "analysis.dialect.checked", "total"),
-    ("dialect_findings", "analysis.dialect.finding", "total"),
-    ("dialect_rejections", "executor.dialect_rejections", "total"),
 )
 
 #: Derived values :meth:`RunTelemetry.as_dict` places right after a
@@ -84,12 +80,6 @@ class RunTelemetry:
     repair_abandoned: dict = field(default_factory=dict)
     #: Per-rule static-analysis counts: ``{"sql.unknown-column": 4, ...}``.
     diagnostics: dict = field(default_factory=dict)
-    #: Dialect portability axis (docs/dialects.md): statements analyzed
-    #: against a non-SQLite target, ``dlct.*`` findings raised, and
-    #: executions the profile executor refused statically.
-    dialect_checked: int = 0
-    dialect_findings: int = 0
-    dialect_rejections: int = 0
     events: int = 0
 
     @property
@@ -117,7 +107,6 @@ class RunTelemetry:
         """Build the roll-up from a registry snapshot."""
         readers = {
             "counter": snapshot.counter,
-            "total": snapshot.counter_total,
             "labelled": lambda name: dict(
                 sorted(snapshot.labelled(name).items())
             ),

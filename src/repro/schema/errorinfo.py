@@ -87,51 +87,6 @@ def normalize_sqlite_error(exc: BaseException) -> ErrorInfo:
     return ErrorInfo(code="sqlite-error", category="unknown", message=message)
 
 
-#: sqlite code -> (postgres code, postgres-style message template).
-#: ``{ident}`` interpolates the offending identifier when known.
-_PG_CODES = {
-    "no-such-table":
-        ("undefined-table", 'relation "{ident}" does not exist'),
-    "no-such-column":
-        ("undefined-column", 'column "{ident}" does not exist'),
-    "ambiguous-column":
-        ("ambiguous-column", 'column reference "{ident}" is ambiguous'),
-    "no-such-function":
-        ("undefined-function", 'function {ident}() does not exist'),
-    "aggregate-misuse":
-        ("grouping-error",
-         "aggregate functions are not allowed here ({ident})"),
-    "function-arity":
-        ("undefined-function",
-         "function {ident} does not exist (argument type mismatch)"),
-    "syntax-error":
-        ("syntax-error", 'syntax error at or near "{ident}"'),
-}
-
-
-def postgresify(info: ErrorInfo) -> ErrorInfo:
-    """Re-express a SQLite failure the way Postgres would report it.
-
-    The Postgres-profile executor runs statements on SQLite storage but
-    surfaces failures in Postgres vocabulary — ``relation "x" does not
-    exist`` instead of ``no such table: x`` — so the repair loop's
-    prompts (and the telemetry's error codes) exercise a genuinely
-    different dialect.  Codes outside the mapping (timeouts, row caps,
-    infra errors) pass through unchanged: they are engine-neutral.
-    """
-    mapped = _PG_CODES.get(info.code)
-    if mapped is None:
-        return info
-    code, template = mapped
-    ident = info.identifier or "?"
-    return ErrorInfo(
-        code=code,
-        category=info.category,
-        message=template.format(ident=ident),
-        identifier=info.identifier,
-    )
-
-
 def timeout_info(seconds: Optional[float]) -> ErrorInfo:
     """The statement-timeout guard interrupted the query."""
     limit = f"{seconds:g}s" if seconds is not None else "the limit"

@@ -53,6 +53,7 @@ from repro.api.types import (
     ExecuteRequest,
     TranslateRequest,
     WireFormatError,
+    check_text,
 )
 from repro.schema import exception_text
 from repro.serve.service import NL2SQLService
@@ -242,6 +243,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_envelope(400, "bad_request", "sql must be a string")
             return
         try:
+            if sql is not None:
+                check_text("explain", "sql", sql)
             request = TranslateRequest.from_dict(data)
         except WireFormatError as exc:
             self._send_error_envelope(400, "bad_request", exception_text(exc))

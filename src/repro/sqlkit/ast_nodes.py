@@ -296,10 +296,8 @@ class OrderItem(Node):
 class SelectCore(Node):
     """A single SELECT block without set operators.
 
-    ``limit_form`` records which row-limit surface syntax the source
-    used: ``"limit"`` for ``LIMIT n`` (SQLite/MySQL/Postgres extension)
-    or ``"fetch"`` for the ANSI ``FETCH FIRST n ROWS ONLY``.  Both set
-    ``limit``; the renderer picks the target dialect's form regardless.
+    ``limit`` holds the row limit of both ``LIMIT n`` and the ANSI
+    ``FETCH FIRST n ROWS ONLY``.
     """
 
     items: list[SelectItem] = field(default_factory=list)
@@ -310,7 +308,6 @@ class SelectCore(Node):
     having: Optional[Node] = None
     order_by: list[OrderItem] = field(default_factory=list)
     limit: Optional[int] = None
-    limit_form: str = "limit"
 
 
 @dataclass

@@ -50,72 +50,6 @@ KEYWORDS = frozenset(
     }
 )
 
-# ---------------------------------------------------------------------------
-# Per-dialect reserved words.
-#
-# A word is *reserved* in a dialect when it cannot appear as a bare
-# (unquoted) identifier there.  The sets differ meaningfully: Postgres
-# reserves ``user`` and ``order`` outright, MySQL 8 reserves the window
-# function names (``rank``, ``groups``), while SQLite accepts most
-# keywords as identifiers when the context is unambiguous.  The SQLite
-# entry is the grammar's own keyword set — the words our tokenizer
-# treats specially — so it doubles as the "portability baseline":
-# dialect checks flag only the words reserved in the *target* dialect
-# beyond this baseline.
-# ---------------------------------------------------------------------------
-
-#: Words Postgres reserves (subset of the full list relevant to the
-#: Spider surface: these cannot be bare column/table names).
-POSTGRES_RESERVED = frozenset(
-    {
-        "ALL", "ANALYZE", "AND", "ANY", "ARRAY", "AS", "ASC", "BOTH",
-        "CASE", "CAST", "CHECK", "COLLATE", "COLUMN", "CONSTRAINT",
-        "CREATE", "CURRENT_DATE", "CURRENT_TIME", "CURRENT_TIMESTAMP",
-        "CURRENT_USER", "DEFAULT", "DESC", "DISTINCT", "DO", "ELSE",
-        "END", "EXCEPT", "FALSE", "FETCH", "FOR", "FOREIGN", "FROM",
-        "GRANT", "GROUP", "HAVING", "IN", "INTERSECT", "INTO",
-        "LATERAL", "LEADING", "LIMIT", "LOCALTIME", "LOCALTIMESTAMP",
-        "NOT", "NULL", "OFFSET", "ON", "ONLY", "OR", "ORDER", "PLACING",
-        "PRIMARY", "REFERENCES", "RETURNING", "SELECT", "SESSION_USER",
-        "SOME", "SYMMETRIC", "TABLE", "THEN", "TO", "TRAILING", "TRUE",
-        "UNION", "UNIQUE", "USER", "USING", "VARIADIC", "WHEN", "WHERE",
-        "WINDOW", "WITH",
-    }
-)
-
-#: Words MySQL 8 reserves.  Notable beyond the common core: the window
-#: function names (``RANK``, ``DENSE_RANK``, ``ROW_NUMBER``, ...) became
-#: reserved in 8.0, and ``ROWS``/``GROUPS`` joined them.
-MYSQL_RESERVED = frozenset(
-    {
-        "ALL", "AND", "AS", "ASC", "BETWEEN", "BY", "CASE", "CHECK",
-        "COLUMN", "CONSTRAINT", "CREATE", "CROSS", "CUBE",
-        "CUME_DIST", "DEFAULT", "DENSE_RANK", "DESC", "DISTINCT",
-        "DIV", "ELSE", "EXISTS", "FETCH", "FIRST_VALUE", "FOR",
-        "FOREIGN", "FROM", "GROUP", "GROUPS", "HAVING", "IN", "INNER",
-        "INTERVAL", "INTO", "IS", "JOIN", "KEY", "LAG", "LAST_VALUE",
-        "LATERAL", "LEAD", "LEFT", "LIKE", "LIMIT", "NOT", "NTH_VALUE",
-        "NTILE", "NULL", "OF", "ON", "OR", "ORDER", "OUTER", "OVER",
-        "PARTITION", "PERCENT_RANK", "PRIMARY", "RANGE", "RANK",
-        "RECURSIVE", "REFERENCES", "RIGHT", "ROW", "ROWS",
-        "ROW_NUMBER", "SELECT", "TABLE", "THEN", "TO", "TRUE", "UNION",
-        "UNIQUE", "UPDATE", "USING", "VALUES", "WHEN", "WHERE",
-        "WINDOW", "WITH",
-    }
-)
-
-#: dialect name -> reserved-word set (upper-case canonical form).
-RESERVED_WORDS = {
-    "sqlite": KEYWORDS,
-    "postgres": POSTGRES_RESERVED,
-    "mysql": MYSQL_RESERVED,
-}
-
-
-def reserved_in(dialect: str) -> frozenset:
-    """The reserved-word set of ``dialect`` (KeyError on unknown names)."""
-    return RESERVED_WORDS[dialect]
-
 # Aggregation function names (Figure 7: <AGG>).
 AGG_FUNCS = ("COUNT", "MAX", "MIN", "SUM", "AVG")
 

@@ -154,14 +154,11 @@ class _Parser:
             tok = self.advance()
             if tok.kind is not TokenKind.NUMBER:
                 raise SQLParseError(
-                    "FETCH FIRST requires"  # noqa: no-inline-dialect-literal
-                    " a number",
-                    self.pos - 1,
+                    "FETCH FIRST requires a number", self.pos - 1
                 )
             core.limit = int(float(tok.value))
             self.expect_keyword("ROWS")
             self.expect_keyword("ONLY")
-            core.limit_form = "fetch"
         return core
 
     def parse_select_item(self) -> SelectItem:

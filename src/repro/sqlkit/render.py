@@ -1,30 +1,15 @@
-"""Render an AST back to SQL text, parameterized by target dialect.
+"""Render an AST back to canonical Spider-style SQL text.
 
 The renderer is the inverse of :mod:`repro.sqlkit.parser`:
 ``parse_sql(render_sql(q))`` round-trips structurally.  Output conventions
 follow Spider's gold queries: upper-case keywords, ``AS`` for aliases,
-single-quoted string literals.
-
-``render_sql(node)`` (the default ``sqlite`` dialect) is byte-identical
-to the historical single-dialect renderer — the whole evaluation
-pipeline depends on that stability.  Passing ``dialect="postgres"`` or
-``"mysql"`` re-renders the same AST for another engine's legal surface:
-
-* identifier quoting — words reserved in the target dialect are quoted
-  in its style (``"order"`` on Postgres, ```rank``` on MySQL);
-* row limiting — Postgres output uses the ANSI
-  ``FETCH FIRST n ROWS ONLY`` form, SQLite/MySQL use ``LIMIT n``;
-* string concatenation — ``a || b`` is lowered to ``CONCAT(a, b)`` on
-  MySQL, where ``||`` means logical OR.
-
-The per-dialect knobs live in :data:`_STYLES`; the capability matrix in
-:mod:`repro.analysis.dialects` documents the same facts declaratively
-for the static analyzer.
+single-quoted string literals, and ``LIMIT n`` for row limiting (the
+parser's ``FETCH FIRST n ROWS ONLY`` form renders as ``LIMIT n``).
+The whole evaluation pipeline depends on this output staying stable;
+``tests/sqlkit/test_render.py`` pins the rendering of the gold corpus.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.sqlkit.ast_nodes import (
     Agg,
@@ -50,257 +35,189 @@ from repro.sqlkit.ast_nodes import (
     TableRef,
     ValueList,
 )
-from repro.sqlkit.keywords import MYSQL_RESERVED, POSTGRES_RESERVED
 
 
-@dataclass(frozen=True)
-class _Style:
-    """How one dialect spells the constructs that differ across engines."""
-
-    name: str
-    quote: str  # identifier quote character
-    reserved: frozenset  # words that must be quoted when used as names
-    limit_form: str  # "limit" | "fetch"
-    concat_call: bool  # lower ``||`` to CONCAT(...)
+def render_sql(node: Node) -> str:
+    """Render any AST node to SQL text."""
+    return _render(node)
 
 
-_STYLES = {
-    # The sqlite style quotes nothing: the historical renderer never
-    # quoted identifiers and its output is frozen by the zero-drift gate.
-    "sqlite": _Style(
-        name="sqlite", quote='"', reserved=frozenset(),
-        limit_form="limit", concat_call=False,
-    ),
-    "postgres": _Style(
-        name="postgres", quote='"', reserved=POSTGRES_RESERVED,
-        limit_form="fetch", concat_call=False,
-    ),
-    "mysql": _Style(
-        name="mysql", quote="`", reserved=MYSQL_RESERVED,
-        limit_form="limit", concat_call=True,
-    ),
-}
-
-DIALECTS = tuple(sorted(_STYLES))
+def _render(node: Node) -> str:
+    renderer = _RENDERERS.get(type(node))
+    if renderer is None:
+        raise TypeError(f"cannot render node of type {type(node).__name__}")
+    return renderer(node)
 
 
-def render_sql(node: Node, dialect: str = "sqlite") -> str:
-    """Render any AST node to SQL text for the given dialect."""
-    style = _STYLES.get(dialect)
-    if style is None:
-        raise ValueError(f"unknown dialect {dialect!r}; "
-                         f"expected one of {', '.join(DIALECTS)}")
-    return _Renderer(style).render(node)
+def _render_query(q: Query) -> str:
+    parts = [_render_core(q.core)]
+    for op, rhs in q.compounds:
+        parts.append(op)
+        parts.append(_render(rhs) if isinstance(rhs, Query) else _render_core(rhs))
+    return " ".join(parts)
 
 
-class _Renderer:
-    """One rendering pass with a fixed dialect style."""
-
-    def __init__(self, style: _Style):
-        self.style = style
-
-    def render(self, node: Node) -> str:
-        renderer = _RENDERERS.get(type(node))
-        if renderer is None:
-            raise TypeError(
-                f"cannot render node of type {type(node).__name__}"
-            )
-        return renderer(self, node)
-
-    def _ident(self, name: str) -> str:
-        """Quote ``name`` iff the target dialect reserves it."""
-        if name.upper() in self.style.reserved:
-            q = self.style.quote
-            return f"{q}{name}{q}"
-        return name
-
-    def _render_query(self, q: Query) -> str:
-        parts = [self._render_core(q.core)]
-        for op, rhs in q.compounds:
-            parts.append(op)
-            parts.append(
-                self.render(rhs) if isinstance(rhs, Query)
-                else self._render_core(rhs)
-            )
-        return " ".join(parts)
-
-    def _render_core(self, core: SelectCore) -> str:
-        parts = ["SELECT"]
-        if core.distinct:
-            parts.append("DISTINCT")
-        parts.append(
-            ", ".join(self._render_select_item(i) for i in core.items)
-        )
-        if core.from_clause is not None:
-            parts.append("FROM")
-            parts.append(self._render_from(core.from_clause))
-        if core.where is not None:
-            parts.append("WHERE")
-            parts.append(self.render(core.where))
-        if core.group_by:
-            parts.append("GROUP BY")
-            parts.append(", ".join(self.render(g) for g in core.group_by))
-        if core.having is not None:
-            parts.append("HAVING")
-            parts.append(self.render(core.having))
-        if core.order_by:
-            parts.append("ORDER BY")
-            parts.append(
-                ", ".join(self._render_order_item(o) for o in core.order_by)
-            )
-        if core.limit is not None:
-            if self.style.limit_form == "fetch":
-                parts.append(f"FETCH FIRST {core.limit} ROWS ONLY")
-            else:
-                parts.append(f"LIMIT {core.limit}")
-        return " ".join(parts)
-
-    def _render_select_item(self, item: SelectItem) -> str:
-        text = self.render(item.expr)
-        if item.alias:
-            text += f" AS {self._ident(item.alias)}"
-        return text
-
-    def _render_order_item(self, item: OrderItem) -> str:
-        text = self.render(item.expr)
-        if item.direction != "ASC":
-            text += f" {item.direction}"
-        return text
-
-    def _render_from(self, clause: FromClause) -> str:
-        parts = [self.render(clause.first)]
-        for join in clause.joins:
-            parts.append(join.kind)
-            parts.append(self.render(join.source))
-            if join.on is not None:
-                parts.append("ON")
-                parts.append(self.render(join.on))
-        return " ".join(parts)
-
-    def _render_table_ref(self, ref: TableRef) -> str:
-        name = self._ident(ref.name)
-        return f"{name} AS {self._ident(ref.alias)}" if ref.alias else name
-
-    def _render_subquery_source(self, src: SubquerySource) -> str:
-        inner = self._render_query(src.query)
-        if src.alias:
-            return f"({inner}) AS {self._ident(src.alias)}"
-        return f"({inner})"
-
-    def _render_column_ref(self, ref: ColumnRef) -> str:
-        column = self._ident(ref.column)
-        return f"{self._ident(ref.table)}.{column}" if ref.table else column
-
-    def _render_star(self, star: Star) -> str:
-        return f"{self._ident(star.table)}.*" if star.table else "*"
-
-    def _render_literal(self, lit: Literal) -> str:
-        if lit.kind == "null" or lit.value is None:
-            return "NULL"
-        if lit.kind == "number":
-            value = lit.value
-            if isinstance(value, float) and value.is_integer():
-                return str(int(value))
-            return str(value)
-        escaped = str(lit.value).replace("'", "''")
-        return f"'{escaped}'"
-
-    def _render_agg(self, agg: Agg) -> str:
-        inner = (
-            ", ".join(self.render(a) for a in agg.args) if agg.args else "*"
-        )
-        prefix = "DISTINCT " if agg.distinct else ""
-        return f"{agg.func}({prefix}{inner})"
-
-    def _render_func_call(self, fn: FuncCall) -> str:
-        inner = ", ".join(self.render(a) for a in fn.args)
-        return f"{fn.name}({inner})"
-
-    def _render_binary_op(self, op: BinaryOp) -> str:
-        if op.op == "||" and self.style.concat_call:
-            # MySQL: ``||`` is logical OR; the portable spelling is
-            # CONCAT.  Flatten chained concatenation into one call.
-            return f"CONCAT({', '.join(self.render(t) for t in _concat_terms(op))})"
-        return f"{self.render(op.left)} {op.op} {self.render(op.right)}"
-
-    def _render_comparison(self, cmp: Comparison) -> str:
-        return f"{self.render(cmp.left)} {cmp.op} {self.render(cmp.right)}"
-
-    def _render_in(self, expr: InExpr) -> str:
-        kw = "NOT IN" if expr.negated else "IN"
-        if isinstance(expr.source, Subquery):
-            return (
-                f"{self.render(expr.left)} {kw} "
-                f"({self._render_query(expr.source.query)})"
-            )
-        return f"{self.render(expr.left)} {kw} {self.render(expr.source)}"
-
-    def _render_value_list(self, vl: ValueList) -> str:
-        return "(" + ", ".join(self.render(v) for v in vl.values) + ")"
-
-    def _render_like(self, expr: LikeExpr) -> str:
-        kw = "NOT LIKE" if expr.negated else "LIKE"
-        return f"{self.render(expr.left)} {kw} {self.render(expr.pattern)}"
-
-    def _render_between(self, expr: BetweenExpr) -> str:
-        kw = "NOT BETWEEN" if expr.negated else "BETWEEN"
-        return (
-            f"{self.render(expr.left)} {kw} "
-            f"{self.render(expr.low)} AND {self.render(expr.high)}"
-        )
-
-    def _render_is_null(self, expr: IsNullExpr) -> str:
-        kw = "IS NOT NULL" if expr.negated else "IS NULL"
-        return f"{self.render(expr.left)} {kw}"
-
-    def _render_bool_op(self, expr: BoolOp) -> str:
-        rendered = []
-        for term in expr.terms:
-            text = self.render(term)
-            # Parenthesize nested OR inside AND to preserve precedence.
-            if isinstance(term, BoolOp) and term.op != expr.op:
-                text = f"({text})"
-            rendered.append(text)
-        return f" {expr.op} ".join(rendered)
-
-    def _render_subquery(self, sub: Subquery) -> str:
-        return f"({self._render_query(sub.query)})"
+def _render_core(core: SelectCore) -> str:
+    parts = ["SELECT"]
+    if core.distinct:
+        parts.append("DISTINCT")
+    parts.append(", ".join(_render_select_item(i) for i in core.items))
+    if core.from_clause is not None:
+        parts.append("FROM")
+        parts.append(_render_from(core.from_clause))
+    if core.where is not None:
+        parts.append("WHERE")
+        parts.append(_render(core.where))
+    if core.group_by:
+        parts.append("GROUP BY")
+        parts.append(", ".join(_render(g) for g in core.group_by))
+    if core.having is not None:
+        parts.append("HAVING")
+        parts.append(_render(core.having))
+    if core.order_by:
+        parts.append("ORDER BY")
+        parts.append(", ".join(_render_order_item(o) for o in core.order_by))
+    if core.limit is not None:
+        parts.append(f"LIMIT {core.limit}")
+    return " ".join(parts)
 
 
-def _concat_terms(op: BinaryOp) -> list:
-    """Flatten a left-nested ``a || b || c`` chain into [a, b, c]."""
-    terms: list = []
-    stack = [op]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BinaryOp) and node.op == "||":
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            terms.append(node)
-    return terms
+def _render_select_item(item: SelectItem) -> str:
+    text = _render(item.expr)
+    if item.alias:
+        text += f" AS {item.alias}"
+    return text
+
+
+def _render_order_item(item: OrderItem) -> str:
+    text = _render(item.expr)
+    if item.direction != "ASC":
+        text += f" {item.direction}"
+    return text
+
+
+def _render_from(clause: FromClause) -> str:
+    parts = [_render(clause.first)]
+    for join in clause.joins:
+        parts.append(join.kind)
+        parts.append(_render(join.source))
+        if join.on is not None:
+            parts.append("ON")
+            parts.append(_render(join.on))
+    return " ".join(parts)
+
+
+def _render_table_ref(ref: TableRef) -> str:
+    return f"{ref.name} AS {ref.alias}" if ref.alias else ref.name
+
+
+def _render_subquery_source(src: SubquerySource) -> str:
+    inner = _render_query(src.query)
+    return f"({inner}) AS {src.alias}" if src.alias else f"({inner})"
+
+
+def _render_column_ref(ref: ColumnRef) -> str:
+    return f"{ref.table}.{ref.column}" if ref.table else ref.column
+
+
+def _render_star(star: Star) -> str:
+    return f"{star.table}.*" if star.table else "*"
+
+
+def _render_literal(lit: Literal) -> str:
+    if lit.kind == "null" or lit.value is None:
+        return "NULL"
+    if lit.kind == "number":
+        value = lit.value
+        if isinstance(value, float) and value.is_integer():
+            return str(int(value))
+        return str(value)
+    escaped = str(lit.value).replace("'", "''")
+    return f"'{escaped}'"
+
+
+def _render_agg(agg: Agg) -> str:
+    inner = ", ".join(_render(a) for a in agg.args) if agg.args else "*"
+    prefix = "DISTINCT " if agg.distinct else ""
+    return f"{agg.func}({prefix}{inner})"
+
+
+def _render_func_call(fn: FuncCall) -> str:
+    return f"{fn.name}({', '.join(_render(a) for a in fn.args)})"
+
+
+def _render_binary_op(op: BinaryOp) -> str:
+    return f"{_render(op.left)} {op.op} {_render(op.right)}"
+
+
+def _render_comparison(cmp: Comparison) -> str:
+    return f"{_render(cmp.left)} {cmp.op} {_render(cmp.right)}"
+
+
+def _render_in(expr: InExpr) -> str:
+    kw = "NOT IN" if expr.negated else "IN"
+    if isinstance(expr.source, Subquery):
+        return f"{_render(expr.left)} {kw} ({_render_query(expr.source.query)})"
+    return f"{_render(expr.left)} {kw} {_render(expr.source)}"
+
+
+def _render_value_list(vl: ValueList) -> str:
+    return "(" + ", ".join(_render(v) for v in vl.values) + ")"
+
+
+def _render_like(expr: LikeExpr) -> str:
+    kw = "NOT LIKE" if expr.negated else "LIKE"
+    return f"{_render(expr.left)} {kw} {_render(expr.pattern)}"
+
+
+def _render_between(expr: BetweenExpr) -> str:
+    kw = "NOT BETWEEN" if expr.negated else "BETWEEN"
+    return (
+        f"{_render(expr.left)} {kw} "
+        f"{_render(expr.low)} AND {_render(expr.high)}"
+    )
+
+
+def _render_is_null(expr: IsNullExpr) -> str:
+    kw = "IS NOT NULL" if expr.negated else "IS NULL"
+    return f"{_render(expr.left)} {kw}"
+
+
+def _render_bool_op(expr: BoolOp) -> str:
+    rendered = []
+    for term in expr.terms:
+        text = _render(term)
+        # Parenthesize nested OR inside AND to preserve precedence.
+        if isinstance(term, BoolOp) and term.op != expr.op:
+            text = f"({text})"
+        rendered.append(text)
+    return f" {expr.op} ".join(rendered)
+
+
+def _render_subquery(sub: Subquery) -> str:
+    return f"({_render_query(sub.query)})"
 
 
 _RENDERERS = {
-    Query: _Renderer._render_query,
-    SelectCore: _Renderer._render_core,
-    SelectItem: _Renderer._render_select_item,
-    OrderItem: _Renderer._render_order_item,
-    FromClause: _Renderer._render_from,
-    TableRef: _Renderer._render_table_ref,
-    SubquerySource: _Renderer._render_subquery_source,
-    ColumnRef: _Renderer._render_column_ref,
-    Star: _Renderer._render_star,
-    Literal: _Renderer._render_literal,
-    Agg: _Renderer._render_agg,
-    FuncCall: _Renderer._render_func_call,
-    BinaryOp: _Renderer._render_binary_op,
-    Comparison: _Renderer._render_comparison,
-    InExpr: _Renderer._render_in,
-    ValueList: _Renderer._render_value_list,
-    LikeExpr: _Renderer._render_like,
-    BetweenExpr: _Renderer._render_between,
-    IsNullExpr: _Renderer._render_is_null,
-    BoolOp: _Renderer._render_bool_op,
-    Subquery: _Renderer._render_subquery,
+    Query: _render_query,
+    SelectCore: _render_core,
+    SelectItem: _render_select_item,
+    OrderItem: _render_order_item,
+    FromClause: _render_from,
+    TableRef: _render_table_ref,
+    SubquerySource: _render_subquery_source,
+    ColumnRef: _render_column_ref,
+    Star: _render_star,
+    Literal: _render_literal,
+    Agg: _render_agg,
+    FuncCall: _render_func_call,
+    BinaryOp: _render_binary_op,
+    Comparison: _render_comparison,
+    InExpr: _render_in,
+    ValueList: _render_value_list,
+    LikeExpr: _render_like,
+    BetweenExpr: _render_between,
+    IsNullExpr: _render_is_null,
+    BoolOp: _render_bool_op,
+    Subquery: _render_subquery,
 }

@@ -336,48 +336,3 @@ class TestSelfClean:
     def test_package_tree_is_clean(self):
         findings = lint_tree()
         assert findings == [], "\n".join(d.render() for d in findings)
-
-
-class TestNoInlineDialectLiteral:
-    RULE = "py.no-inline-dialect-literal"
-
-    def test_backtick_identifier_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path, self.RULE, 'SQL = "SELECT `name` FROM t"\n'
-        )
-        assert [d.rule for d in findings] == [self.RULE]
-        assert "`name`" in findings[0].message
-
-    def test_fetch_first_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path, self.RULE,
-            'SQL = "SELECT a FROM t FETCH FIRST 3 ROWS ONLY"\n',
-        )
-        assert [d.rule for d in findings] == [self.RULE]
-
-    def test_docstring_markup_not_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path, self.RULE,
-            '"""Uses ``FETCH FIRST`` via ``render_sql``."""\n'
-            "def f():\n"
-            '    """Renders `` `x` `` style rst markup."""\n',
-        )
-        assert findings == []
-
-    def test_double_backtick_rst_in_plain_string_not_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path, self.RULE, 'HELP = "pass ``dialect`` to render"\n'
-        )
-        assert findings == []
-
-    def test_noqa_waiver_honored(self, tmp_path):
-        findings = run_rule(
-            tmp_path, self.RULE,
-            'SQL = "SELECT `x` FROM t"  # noqa: no-inline-dialect-literal\n',
-        )
-        assert findings == []
-
-    def test_renderer_and_matrix_are_exempt(self):
-        rule = REGISTRY[self.RULE]
-        assert any("render" in str(p) for p in rule.allowed)
-        assert any("dialects" in str(p) for p in rule.allowed)

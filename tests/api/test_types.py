@@ -1,5 +1,7 @@
 """The versioned wire contract (repro.api.types) and its entry point."""
 
+import json
+
 import pytest
 
 from repro.api.types import (
@@ -127,6 +129,43 @@ class TestStrictness:
     def test_routing_fields_must_be_strings(self, cls, text, field, value):
         with pytest.raises(WireFormatError, match=field):
             cls.from_dict({text: "q", "db_id": "d", field: value})
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1", None])
+    def test_schema_version_must_be_an_int(self, value):
+        # ``True == 1`` and ``1.0 == 1``: equality alone would accept them.
+        with pytest.raises(WireFormatError, match="schema_version"):
+            TranslateRequest.from_dict(
+                {"question": "q", "db_id": "d", "schema_version": value}
+            )
+
+    @pytest.mark.parametrize("cls, field", [
+        (TranslateRequest, "question"),
+        (TranslateRequest, "db_id"),
+        (TranslateRequest, "tenant"),
+        (TranslateRequest, "request_id"),
+        (ExecuteRequest, "sql"),
+        (ExecuteRequest, "request_id"),
+    ])
+    def test_lone_surrogate_rejected(self, cls, field):
+        # JSON can escape a lone UTF-16 surrogate; the decoded string
+        # cannot be encoded as UTF-8 by anything downstream.
+        text = "question" if cls is TranslateRequest else "sql"
+        payload = {text: "q", "db_id": "d", field: "a\ud800b"}
+        body = json.dumps(payload)
+        assert "\\ud800" in body
+        with pytest.raises(WireFormatError, match=f"{field} is not valid UTF-8"):
+            cls.from_json(body)
+
+    def test_lone_surrogate_rejected_on_construction(self):
+        with pytest.raises(WireFormatError, match="db_id is not valid UTF-8"):
+            TranslateRequest(question="q", db_id="d\udcff")
+
+    def test_non_bmp_text_accepted(self):
+        # A surrogate *pair* escape decodes to one valid code point.
+        request = TranslateRequest.from_json(
+            '{"question": "q \\ud83d\\ude00", "db_id": "d"}'
+        )
+        assert request.question == "q \U0001F600"
 
 
 class TestTranslateEntryPoint:

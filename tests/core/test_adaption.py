@@ -69,6 +69,14 @@ class TestRepairs:
         assert "function_hallucination" in outcome.fixes
         assert "CONCAT" not in outcome.sql
 
+    def test_default_omits_function(self, env):
+        """§IV-D1's immediate solution keeps the first column argument
+        and drops the call; it never rewrites it to an operator."""
+        db, _, adapter = env
+        outcome = adapter.adapt("SELECT CONCAT(name, ' ', position) FROM player", db)
+        assert outcome.repaired
+        assert "CONCAT" not in outcome.sql and "||" not in outcome.sql
+
     def test_schema_hallucination(self, env):
         outcome = self._check(env, "SELECT name_name FROM player")
         assert "schema_hallucination" in outcome.fixes

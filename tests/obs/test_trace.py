@@ -208,7 +208,6 @@ class TestRunTelemetry:
             "executor_cache_hits", "executor_cache_misses", "index_builds",
             "repair_triggered", "repair_rounds", "repair_recovered",
             "repair_success_depth", "repair_abandoned", "diagnostics",
-            "dialect_checked", "dialect_findings", "dialect_rejections",
             "events",
         ]
 

@@ -135,6 +135,30 @@ class TestTranslate:
         assert envelope.code == "bad_request"
         assert field in envelope.message
 
+    @pytest.mark.parametrize("field", ["question", "request_id"])
+    def test_lone_surrogate_400(self, client, dev_set, field):
+        example = dev_set.examples[0]
+        payload = {
+            "question": example.question, "db_id": example.db_id,
+            "tenant": "acme", field: "x\ud800",
+        }
+        status, data = post(client, "/v1/translate", payload)
+        assert status == 400
+        envelope = ErrorEnvelope.from_dict(data)
+        assert envelope.code == "bad_request"
+        assert field in envelope.message
+
+    def test_boolean_schema_version_400(self, client, dev_set):
+        example = dev_set.examples[0]
+        status, data = post(client, "/v1/translate", {
+            "question": example.question, "db_id": example.db_id,
+            "tenant": "acme", "schema_version": True,
+        })
+        assert status == 400
+        envelope = ErrorEnvelope.from_dict(data)
+        assert envelope.code == "bad_request"
+        assert "schema_version" in envelope.message
+
     def test_unknown_route_404(self, client):
         status, data = post(client, "/v1/nope", {"a": 1})
         assert status == 404
@@ -189,6 +213,17 @@ class TestExplain:
         assert status == 501
         assert ErrorEnvelope.from_dict(data).code == "unsupported"
 
+    def test_lone_surrogate_sql_400(self, client, dev_set):
+        example = dev_set.examples[0]
+        status, data = post(client, "/v1/explain", {
+            "question": example.question, "db_id": example.db_id,
+            "tenant": "acme", "sql": "SELECT \ud800 FROM t",
+        })
+        assert status == 400
+        envelope = ErrorEnvelope.from_dict(data)
+        assert envelope.code == "bad_request"
+        assert "sql" in envelope.message
+
 
 class TestExecute:
     def test_rows_round_trip(self, client, dev_set):
@@ -215,6 +250,15 @@ class TestExecute:
         assert response.error
         assert response.error_code == "no-such-table"
 
+    def test_lone_surrogate_sql_400(self, client, dev_set):
+        status, data = post(client, "/v1/execute", {
+            "sql": "SELECT '\ud800'", "db_id": dev_set.db_ids()[0],
+            "tenant": "acme",
+        })
+        assert status == 400
+        envelope = ErrorEnvelope.from_dict(data)
+        assert envelope.code == "bad_request"
+        assert "sql" in envelope.message
 
     @pytest.mark.parametrize("field, value", [
         ("tenant", ["acme"]),

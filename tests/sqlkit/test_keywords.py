@@ -1,51 +1,16 @@
-"""Per-dialect reserved-word sets."""
+"""The tokenizer's keyword set."""
 
-import pytest
-
-from repro.sqlkit.keywords import (
-    KEYWORDS,
-    MYSQL_RESERVED,
-    POSTGRES_RESERVED,
-    RESERVED_WORDS,
-    reserved_in,
-)
+from repro.sqlkit.keywords import KEYWORDS
 
 
-class TestReservedSets:
-    def test_all_dialects_present(self):
-        assert set(RESERVED_WORDS) == {"sqlite", "postgres", "mysql"}
-
-    def test_sqlite_set_is_the_tokenizer_keywords(self):
-        assert reserved_in("sqlite") is KEYWORDS
-
-    def test_unknown_dialect_rejected(self):
-        with pytest.raises(KeyError):
-            reserved_in("oracle")
-
-    def test_sets_are_uppercase(self):
-        for words in RESERVED_WORDS.values():
-            assert all(w == w.upper() for w in words)
-
-
-class TestDialectDeltas:
-    def test_user_legal_in_sqlite_reserved_in_postgres(self):
-        """The regression the matrix exists for: an identifier that is a
-        perfectly good column name on SQLite but a reserved word on
-        Postgres must appear in exactly one set."""
-        assert "USER" not in KEYWORDS
-        assert "USER" in POSTGRES_RESERVED
-
-    def test_rank_reserved_in_mysql_only(self):
-        assert "RANK" in MYSQL_RESERVED
-        assert "RANK" not in KEYWORDS
-        assert "RANK" not in POSTGRES_RESERVED
-
-    def test_core_keywords_reserved_everywhere(self):
+class TestKeywords:
+    def test_clause_keywords_present(self):
         for word in ("SELECT", "FROM", "WHERE", "GROUP", "ORDER"):
             assert word in KEYWORDS
-            assert word in POSTGRES_RESERVED
-            assert word in MYSQL_RESERVED
 
     def test_fetch_first_tokens_are_keywords(self):
         for word in ("FETCH", "FIRST", "ROWS", "ONLY"):
             assert word in KEYWORDS
+
+    def test_keywords_are_uppercase(self):
+        assert all(w == w.upper() for w in KEYWORDS)

@@ -58,6 +58,11 @@ class TestSelectCore:
     def test_limit(self):
         assert parse_sql("SELECT a FROM t LIMIT 5").core.limit == 5
 
+    def test_fetch_first_parses_to_limit(self):
+        query = parse_sql("SELECT a FROM t FETCH FIRST 4 ROWS ONLY")
+        assert query.core.limit == 4
+        assert query == parse_sql("SELECT a FROM t LIMIT 4")
+
     def test_order_by_directions(self):
         core = parse_sql("SELECT a FROM t ORDER BY a DESC, b").core
         assert core.order_by[0].direction == "DESC"

@@ -1,8 +1,16 @@
 """Round-trip and formatting tests for the SQL renderer."""
 
+import hashlib
+
 import pytest
 
 from repro.sqlkit import parse_sql, render_sql
+
+# sha256 of "\n".join(render_sql(parse_sql(ex.sql))) over the train + dev
+# examples of the seed-7 small benchmark (conftest.py).
+CORPUS_RENDER_SHA256 = (
+    "e47321fda5d0c9733ab87bd95bddc50de584ef0251687c3d9a735bf1989c211f"
+)
 
 ROUND_TRIP_QUERIES = [
     "SELECT name FROM singer",
@@ -70,5 +78,22 @@ class TestFormattingDetails:
     def test_null_literal(self):
         assert render_sql(parse_sql("SELECT NULL FROM t")) == "SELECT NULL FROM t"
 
+    def test_fetch_first_renders_as_limit(self):
+        sql = "SELECT a FROM t FETCH FIRST 4 ROWS ONLY"
+        assert render_sql(parse_sql(sql)) == "SELECT a FROM t LIMIT 4"
+
     def test_inequality_normalized(self):
         assert render_sql(parse_sql("SELECT a FROM t WHERE b <> 1")).endswith("b != 1")
+
+
+class TestCorpusRendering:
+    def test_corpus_rendering_hash_pinned(self, small_benchmark):
+        """The rendering of the whole gold corpus is pinned: any renderer
+        change that moves this hash changed the rendered surface."""
+        rendered = [
+            render_sql(parse_sql(ex.sql))
+            for dataset in (small_benchmark.train, small_benchmark.dev)
+            for ex in dataset
+        ]
+        digest = hashlib.sha256("\n".join(rendered).encode()).hexdigest()
+        assert digest == CORPUS_RENDER_SHA256

@@ -267,10 +267,19 @@ class TestAnalyze:
         ])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["sql", "db_id", "diagnostics"]
         assert payload["db_id"] == "hospitals"
         (diag,) = payload["diagnostics"]
         assert diag["rule"] == "sql.unknown-column"
         assert diag["fix_hint"]["error_class"] == "schema_hallucination"
+
+    def test_backtick_identifier_is_clean(self, corpus_dir, capsys):
+        code = main([
+            "analyze", "SELECT `name` FROM doctor",
+            "--db", "hospitals", "--dataset", self._dev(corpus_dir),
+        ])
+        assert code == 0
+        assert "clean" in capsys.readouterr().out
 
     def test_unknown_db_rejected(self, corpus_dir):
         with pytest.raises(SystemExit):
@@ -310,6 +319,18 @@ class TestTranslate:
                 ]
             )
 
+    @pytest.mark.parametrize("question", ["   ", "How many\udcff?"])
+    def test_malformed_question_rejected_before_training(self, question):
+        # An undecodable argv byte arrives as a lone surrogate; the check
+        # runs before the (missing) corpus is ever read.
+        with pytest.raises(SystemExit, match="question"):
+            main([
+                "translate", question,
+                "--db-id", "soccer",
+                "--train", "missing/train.json",
+                "--dev", "missing/dev.json",
+            ])
+
 
 class TestServe:
     def test_check_builds_tenants_without_binding(self, corpus_dir, capsys):
@@ -344,76 +365,3 @@ class TestServe:
     def test_malformed_tenant_spec_rejected(self, corpus_dir):
         with pytest.raises(SystemExit, match="NAME=TRAIN:DEV"):
             main(["serve", "--tenant", "acme", "--check"])
-
-class TestAnalyzeDialect:
-    def _dev(self, corpus_dir):
-        return str(corpus_dir / "dev.json")
-
-    def test_dialect_finding_exit_one(self, corpus_dir, capsys):
-        code = main([
-            "analyze", "SELECT `name` FROM doctor",
-            "--db", "hospitals", "--dataset", self._dev(corpus_dir),
-            "--dialect", "postgres",
-        ])
-        assert code == 1
-        assert "dlct.identifier-quoting" in capsys.readouterr().out
-
-    def test_json_carries_dialect(self, corpus_dir, capsys):
-        import json
-
-        code = main([
-            "analyze", "SELECT IFNULL(name, 'x') FROM doctor",
-            "--db", "hospitals", "--dataset", self._dev(corpus_dir),
-            "--dialect", "postgres", "--format", "json",
-        ])
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["dialect"] == "postgres"
-        (diag,) = payload["diagnostics"]
-        assert diag["rule"] == "dlct.function-availability"
-        assert diag["fix_hint"]["rewrite"] == "COALESCE(a, b)"
-
-    def test_default_dialect_unchanged(self, corpus_dir, capsys):
-        code = main([
-            "analyze", "SELECT `name` FROM doctor",
-            "--db", "hospitals", "--dataset", self._dev(corpus_dir),
-        ])
-        assert code == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_mysql_dialect_accepted(self, corpus_dir, capsys):
-        code = main([
-            "analyze", "SELECT name FROM doctor LIMIT 3",
-            "--db", "hospitals", "--dataset", self._dev(corpus_dir),
-            "--dialect", "mysql",
-        ])
-        assert code == 0
-        assert "clean" in capsys.readouterr().out
-
-
-class TestEvaluateDialect:
-    def test_postgres_axis_scores_match_sqlite(self, corpus_dir, capsys):
-        args = [
-            "evaluate",
-            "--train", str(corpus_dir / "train.json"),
-            "--dev", str(corpus_dir / "dev.json"),
-            "--approach", "purple",
-            "--limit", "6",
-        ]
-        assert main(args) == 0
-        baseline = capsys.readouterr().out
-        assert main(args + ["--dialect", "postgres"]) == 0
-        postgres = capsys.readouterr().out
-        line = [l for l in baseline.splitlines() if "EM" in l]
-        assert line == [l for l in postgres.splitlines() if "EM" in l]
-
-    def test_dialect_is_purple_only(self, corpus_dir):
-        with pytest.raises(SystemExit, match="purple approach only"):
-            main([
-                "evaluate",
-                "--train", str(corpus_dir / "train.json"),
-                "--dev", str(corpus_dir / "dev.json"),
-                "--approach", "zero",
-                "--limit", "2",
-                "--dialect", "postgres",
-            ])
