@@ -47,9 +47,7 @@ class SkeletonPredictionModule:
         results = []
         for text, prob in raw:
             tokens = tuple(
-                t
-                for t in _merge_multiword(text.split(" "))
-                if t in _VALID_TOKENS or t == PLACEHOLDER
+                t for t in _merge_multiword(text.split(" ")) if t in _VALID_TOKENS
             )
             if tokens:
                 results.append(PredictedSkeleton(tokens=tokens, probability=prob))

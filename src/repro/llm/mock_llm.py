@@ -24,7 +24,7 @@ from repro.llm.hallucination import inject_hallucination
 from repro.llm.interface import LLMRequest, LLMResponse
 from repro.llm.profiles import CHATGPT, LLMProfile
 from repro.llm.promptfmt import ParsedPrompt, SchemaInfo, parse_prompt
-from repro.llm.tokenizer import count_tokens
+from repro.llm.tokenizer import count_prompt_tokens, count_tokens
 from repro.llm.understanding import Understander
 from repro.plm.features import convention_cues
 from repro.spider.archetypes import BUILD_ERRORS, archetype_by_kind
@@ -99,7 +99,7 @@ class MockLLM:
     def complete(self, request: LLMRequest) -> LLMResponse:
         """Produce ``n`` completions for the prompt."""
         parsed = parse_prompt(request.prompt)
-        prompt_tokens = count_tokens(request.prompt)
+        prompt_tokens = count_prompt_tokens(request.prompt)
         if parsed.task_schema is None or not parsed.task_question:
             return LLMResponse(
                 texts=["SELECT 1"] * max(request.n, 1),

@@ -10,6 +10,7 @@ logic needs.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 _PIECE = re.compile(r"\w+|[^\w\s]")
 
@@ -23,6 +24,18 @@ def count_tokens(text: str) -> int:
         else:
             total += (len(piece) + 5) // 6
     return total
+
+
+def count_prompt_tokens(prompt: str) -> int:
+    """``count_tokens(prompt)``, summed over its blank-line-separated
+    sections.  No token piece spans whitespace, so the sum is exact, and
+    each section's count is cached: prompts repeat demonstration blocks."""
+    return sum(map(_count_section, prompt.split("\n\n")))
+
+
+@lru_cache(maxsize=2048)
+def _count_section(section: str) -> int:
+    return count_tokens(section)
 
 
 def truncate_to_tokens(text: str, budget: int) -> str:

@@ -55,8 +55,11 @@ class SkeletonPredictor:
     def __post_init__(self) -> None:
         self._index = {tok: i for i, tok in enumerate(self.vocab)}
         # Each trie prefix's allowed-token mask, built once: float32, the
-        # dtype of the step distributions it multiplies.
+        # dtype of the step distributions it multiplies.  A prefix that
+        # allows exactly one in-vocab token is *forced*: renormalized over
+        # the mask, that token's probability is d / d == 1.0.
         self._masks: dict = {}
+        self._forced: dict = {}  # tuple(prefix) -> its one allowed token
         for prefix, allowed in (self.trie or {}).items():
             mask = np.zeros(len(self.vocab), dtype=np.float32)
             for token in allowed:
@@ -64,6 +67,9 @@ class SkeletonPredictor:
                 if idx is not None:
                     mask[idx] = 1.0
             self._masks[prefix] = mask
+            (ids,) = np.nonzero(mask)
+            if len(ids) == 1:
+                self._forced[prefix] = self.vocab[ids[0]]
 
     # -- feature layout -------------------------------------------------------
 
@@ -124,7 +130,9 @@ class SkeletonPredictor:
         """Top-k skeletons via beam search: ``[(skeleton_string, prob)]``.
 
         ``beam_width`` defaults to ``max(2 * k, 6)``; sequence probability
-        is the product of step probabilities (§IV-B).
+        is the product of step probabilities (§IV-B).  A beam on a forced
+        prefix extends without evaluating the model: its step probability
+        is exactly 1.0, so its log-probability is unchanged.
         """
         assert self.weights is not None, "predictor is not trained"
         cues = question_cues(question)
@@ -139,9 +147,20 @@ class SkeletonPredictor:
             for (prev, prev2), tokens, logprob in beams:
                 mask = None
                 if self.trie is not None:
-                    mask = self._masks.get(tuple(tokens))
+                    prefix = tuple(tokens)
+                    mask = self._masks.get(prefix)
                     if mask is None:
                         continue  # no training skeleton has this prefix
+                    # Exact because the fitted logits span < 87, so the
+                    # forced token's float32 softmax never underflows to 0.
+                    token = self._forced.get(prefix)
+                    if token == EOS:
+                        if tokens:
+                            finished.append((tokens, logprob))
+                        continue
+                    if token is not None:
+                        candidates.append(((token, prev), tokens + [token], logprob))
+                        continue
                 x = self._with_step(base, prev, prev2, position)
                 dist = self.token_distribution(x)
                 if mask is not None:

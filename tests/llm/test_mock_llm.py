@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core.prompt import PromptBuilder
 from repro.llm import (
     CHATGPT,
     GPT4,
@@ -15,6 +16,10 @@ from repro.llm import (
     render_schema,
 )
 from repro.llm.profiles import LLMProfile, profile_by_name
+from repro.llm.tokenizer import count_tokens
+from repro.repair import RepairDiagnosis, build_repair_prompt
+from repro.schema import Database
+from repro.schema.errorinfo import ErrorInfo
 from repro.spider.domains import domain_by_name
 from repro.sqlkit import parse_sql
 from repro.sqlkit.errors import SQLError
@@ -280,7 +285,7 @@ class TestCachedHelpers:
             if callable(getattr(obj, "cache_info", None))
         ]
         assert {c.__name__ for c in caches} >= {
-            "_demo_skeleton", "_phrase_score", "_table_score",
+            "_demo_skeleton", "_phrase_score", "_table_score", "_count_section",
         }
         for cache in caches:
             assert cache.cache_info().maxsize is not None, cache.__name__
@@ -290,6 +295,54 @@ class TestCachedHelpers:
         before = dict(vars(llm)), dict(vars(llm._understander))
         ask(llm, db, "What are the name of players whose age is at least 20?", n=6)
         assert (dict(vars(llm)), dict(vars(llm._understander))) == before
+
+
+class TestPromptTokens:
+    """``prompt_tokens`` is counted per blank-line-separated section: it
+    must equal counting the whole prompt at once."""
+
+    def _check(self, prompt):
+        resp = MockLLM(CHATGPT, seed=2).complete(LLMRequest(prompt=prompt, n=2))
+        assert resp.prompt_tokens == count_tokens(prompt)
+
+    def test_prompt_builder_prompts(self, train_set, dev_set):
+        builder = PromptBuilder(train_set)
+        rng = np.random.default_rng(0)
+        for ex in dev_set.examples[:6]:
+            task_schema = render_schema(dev_set.database(ex.db_id))
+            for budget in (256, 1024, 3072):
+                self._check(
+                    builder.build(
+                        ex.question, task_schema, demo_order=[3, 1, 4],
+                        budget=budget, rng=rng, instructions="Think step by step.",
+                    )
+                )
+
+    def test_repair_prompt(self, db):
+        diagnosis = RepairDiagnosis(
+            sql="SELECT nope FROM player",
+            error=ErrorInfo("no-such-column", "schema", "no such column: nope", "nope"),
+        )
+        prompt = build_repair_prompt(
+            diagnosis, render_schema(db), "How many players are there?"
+        )
+        assert "### Repair" in prompt
+        self._check(prompt)
+
+    def test_blank_lines_inside_values_and_at_the_ends(self, db):
+        table = db.schema.tables[0]
+        col = next(i for i, c in enumerate(table.columns) if c.col_type == "text")
+        rows = dict(db.rows)
+        first, *rest = rows[table.key]
+        rows[table.key] = [
+            first[:col] + ("\n\nfirst\n\n\n second \n\n",) + first[col + 1 :],
+            *rest,
+        ]
+        schema_text = render_schema(Database(schema=db.schema, rows=rows))
+        assert "\n\nfirst" in schema_text
+        prompt = build_prompt(schema_text, "How many players are there?")
+        for text in (prompt, "\n\n" + prompt + "\n\n", "\n\n\n" + prompt):
+            self._check(text)
 
 
 class TestCdfDraw:

@@ -12,6 +12,7 @@ from repro.plm.features import question_cues
 from repro.plm.skeleton_model import (
     BOS,
     EOS,
+    _MAX_LEN,
     SkeletonPredictor,
     _StepTable,
     skeleton_training_data,
@@ -103,6 +104,99 @@ class TestTraining:
                 predictor.vocab.index(token) for token in allowed
             }
             assert set(mask.tolist()) <= {0.0, 1.0}
+        # A forced prefix allows exactly one in-vocab token.
+        assert predictor._forced == {
+            prefix: allowed_tokens[0]
+            for prefix, allowed in predictor.trie.items()
+            for allowed_tokens in [[t for t in allowed if t in predictor.vocab]]
+            if len(allowed_tokens) == 1
+        }
+        assert predictor._forced  # the fixture trie has forced steps
+
+    def test_forced_token_softmax_cannot_underflow(self, predictor):
+        """The forced-step shortcut assumes the forced token's float32
+        softmax is nonzero: no two tokens' logits differ by as much as
+        float32 ``exp`` underflow (~87) for any feature vector, whose
+        prev/prev2 parts are one-hot and whose other dims lie in [0, 1]."""
+        v = len(predictor.vocab)
+        w = predictor.weights.astype(np.float64)
+        diff = w[:, None, :] - w[None, :, :]  # (V, V, dim): row a minus row b
+        gap = (
+            diff[:, :, :v].max(axis=2)
+            + diff[:, :, v : 2 * v].max(axis=2)
+            + np.clip(diff[:, :, 2 * v :], 0.0, None).sum(axis=2)
+        )
+        assert gap.max() < -np.log(np.finfo(np.float32).tiny)
+
+
+def reference_predict(model, question, schema=None, k=3, beam_width=None):
+    """:meth:`SkeletonPredictor.predict` evaluating the model at every
+    step, forced or not: the decoder the forced-step shortcut must equal."""
+    cues = question_cues(question)
+    n_tables = float(len(schema.tables)) if schema is not None else 2.0
+    base = model._question_features(cues, n_tables)
+    width = beam_width or max(2 * k, 6)
+    beams = [((BOS, BOS), [], 0.0)]
+    finished = []
+    for position in range(_MAX_LEN):
+        candidates = []
+        for (prev, prev2), tokens, logprob in beams:
+            mask = model._masks.get(tuple(tokens))
+            if mask is None:
+                continue
+            x = model._with_step(base, prev, prev2, position)
+            dist = model.token_distribution(x) * mask
+            total = dist.sum()
+            if total <= 0:
+                continue
+            dist = dist / total
+            for ti in np.argsort(-dist)[: width + 2]:
+                if dist[int(ti)] <= 0:
+                    break
+                token = model.vocab[int(ti)]
+                if token == BOS:
+                    continue
+                new_logprob = logprob + float(np.log(dist[int(ti)] + 1e-12))
+                if token == EOS:
+                    if tokens:
+                        finished.append((tokens, new_logprob))
+                    continue
+                candidates.append(((token, prev), tokens + [token], new_logprob))
+        if not candidates:
+            break
+        candidates.sort(key=lambda c: -c[2])
+        beams = candidates[:width]
+        target = max(3 * k, 8)
+        if len(finished) >= target:
+            kth_best = sorted((lp for _, lp in finished), reverse=True)[target - 1]
+            if beams[0][2] <= kth_best:
+                break
+    finished.sort(key=lambda f: -f[1])
+    results = []
+    seen = set()
+    for tokens, logprob in finished:
+        text = " ".join(tokens)
+        if text in seen:
+            continue
+        seen.add(text)
+        results.append((text, logprob))
+        if len(results) >= max(3 * k, 8):
+            break
+    return [(text, float(np.exp(lp))) for text, lp in results[:k]]
+
+
+class TestForcedSteps:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_predict_equals_evaluating_every_step(self, predictor, dev_set, k):
+        for ex in dev_set.examples:
+            schema = dev_set.database(ex.db_id).schema
+            for args in ((ex.question, None, k), (ex.question, schema, k)):
+                assert predictor.predict(*args) == reference_predict(predictor, *args)
+
+    def test_beam_width_override(self, predictor, dev_set):
+        for ex in dev_set.examples:
+            got = predictor.predict(ex.question, k=3, beam_width=2)
+            assert got == reference_predict(predictor, ex.question, k=3, beam_width=2)
 
 
 def reference_steps(model, sequences):

@@ -209,6 +209,15 @@ class TestTextProperties:
     def test_token_count_subadditive_concat(self, a, b):
         assert count_tokens(a + " " + b) <= count_tokens(a) + count_tokens(b) + 1
 
+    @given(
+        st.text(max_size=200),
+        st.from_regex(r"\s+", fullmatch=True),
+        st.text(max_size=200),
+    )
+    def test_token_count_additive_across_whitespace(self, a, ws, b):
+        # No token piece spans whitespace: what prompt sections rely on.
+        assert count_tokens(a + ws + b) == count_tokens(a) + count_tokens(b)
+
     @given(st.text(max_size=300))
     def test_token_count_nonnegative(self, text):
         assert count_tokens(text) >= 0
