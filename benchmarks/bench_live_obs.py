@@ -25,9 +25,8 @@ import pytest
 from benchmarks.common import print_table
 from benchmarks.conftest import LLM_SEED
 from repro import api
-from repro.api.runtime import make_live
 from repro.llm import GPT4, MockLLM, SimulatedLatencyLLM
-from repro.obs import Observer, percentile
+from repro.obs import LiveTelemetry, Observer, percentile
 from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
@@ -75,7 +74,7 @@ def build_stack(bench, with_live):
         tenant_id="bench", data=bench.dev, translator=translator
     ))
     observer = Observer(seed=0, log_level="info")
-    live = make_live(observer, prune_lanes=True) if with_live else None
+    live = LiveTelemetry(observer) if with_live else None
     service = NL2SQLService(
         registry,
         AdmissionController(AdmissionPolicy(

@@ -9,7 +9,7 @@ registry::
 
     purple = api.create("purple", llm=MockLLM(GPT4), train=bench.train)
     api.available()          # ('c3', 'dail', 'din', 'few', 'plm', 'purple', 'zero')
-    api.available(detail=True)["purple"]   # (..., 'demote', 'explain', ...)
+    api.capabilities(purple)  # ('demote', 'explain', 'fit', 'health', 'translate')
 
     @api.register("my-approach")
     def _make(*, llm=None, train=None, **config):
@@ -33,8 +33,8 @@ serving layer (:mod:`repro.serve`) runs on:
   implementations, so every translator answers ``health()`` and
   approaches without ``explain`` fail typed
   (:class:`CapabilityError`) instead of with ``AttributeError``;
-* :func:`capabilities` — the flags for one live instance (the registry's
-  ``available(detail=True)`` reports them per *name*).
+* :func:`capabilities` — the flags of one live instance, read off what
+  it implements; the one source the serving layer and ``health`` use.
 
 ``__all__`` below is the single public export list; anything outside it
 is an implementation detail.
@@ -86,8 +86,8 @@ class Translator(Protocol):
     default implementations:
 
     * ``explain(task, sql=None) -> dict`` — static diagnostics plus
-      retrieval provenance; dispatch via :func:`explain`, declared with
-      the ``"explain"`` capability flag at registration;
+      retrieval provenance; dispatch via :func:`explain`, reported as
+      the ``"explain"`` capability flag by :func:`capabilities`;
     * ``health() -> dict`` — liveness/fitness self-report; dispatch via
       :func:`health`, which synthesizes one for approaches without it.
     """
@@ -143,7 +143,7 @@ def health(translator) -> dict:
 def explain(translator, task, sql: Optional[str] = None) -> dict:
     """Static diagnostics and retrieval provenance for one task.
 
-    Only translators declaring the ``explain`` capability implement
+    Only translators with the ``explain`` capability implement
     this; the default is a typed :class:`CapabilityError` so transport
     layers can answer 501 instead of crashing the request thread.
     """

@@ -30,34 +30,21 @@ _BUILTIN_MODULES = ("repro.core.pipeline", "repro.baselines")
 
 _lock = threading.Lock()
 _factories: dict[str, Callable] = {}
-_capabilities: dict[str, tuple] = {}
 _builtins_loaded = False
-
-#: What every registered approach can do without declaring anything:
-#: ``fit``/``translate`` are the protocol, and ``health`` has a default
-#: implementation in :func:`repro.api.health`.
-DEFAULT_CAPABILITIES = ("fit", "health", "translate")
 
 
 class UnknownApproachError(KeyError):
     """No approach is registered under the requested name."""
 
 
-def register(name: str, factory: Optional[Callable] = None,
-             capabilities: Optional[tuple] = None):
+def register(name: str, factory: Optional[Callable] = None):
     """Register ``factory`` under ``name``; usable as a decorator.
 
-    ``capabilities`` declares optional surfaces beyond the defaults —
-    ``"explain"`` (the approach implements ``explain(task, sql=...)``)
-    and ``"demote"`` (``translate`` accepts ``min_rung`` so the serving
-    layer can shed load down its degradation ladder).  The serving
-    layer consults these flags to answer 501 cleanly on unsupported
-    endpoints rather than failing mid-request.
-
     Re-registering a name is an error unless it is the same factory
-    (idempotent re-imports are fine).
+    (idempotent re-imports are fine).  What an approach can do beyond
+    the protocol is read off each instance by
+    :func:`repro.api.capabilities`.
     """
-    declared = tuple(sorted(set(DEFAULT_CAPABILITIES) | set(capabilities or ())))
 
     def _add(factory: Callable) -> Callable:
         with _lock:
@@ -65,7 +52,6 @@ def register(name: str, factory: Optional[Callable] = None,
             if existing is not None and existing is not factory:
                 raise ValueError(f"approach {name!r} is already registered")
             _factories[name] = factory
-            _capabilities[name] = declared
         return factory
 
     if factory is None:
@@ -90,22 +76,10 @@ def create(name: str, **kwargs):
     return factory(**kwargs)
 
 
-def available(detail: bool = False):
-    """The registered approach names, sorted.
-
-    With ``detail=True``, returns ``{name: capabilities}`` instead —
-    each value the sorted tuple of capability flags declared at
-    registration (always a superset of :data:`DEFAULT_CAPABILITIES`) —
-    so callers like the serving layer can advertise or gate per-approach
-    surfaces without constructing anything.
-    """
+def available() -> tuple:
+    """The registered approach names, sorted."""
     _ensure_builtins()
     with _lock:
-        if detail:
-            return {
-                name: _capabilities.get(name, DEFAULT_CAPABILITIES)
-                for name in sorted(_factories)
-            }
         return tuple(sorted(_factories))
 
 

@@ -87,38 +87,3 @@ def export_trace(observer: Observer, path, meta: Optional[dict] = None) -> int:
     """Write the observer's trace as JSONL; returns the line count."""
     return write_trace(observer, path, meta=dict(meta or {}))
 
-
-def make_live(
-    observer: Optional[Observer],
-    window_s: float = 60.0,
-    trace_capacity: int = 256,
-    slow_ms: float = 1000.0,
-    availability: float = 0.999,
-    latency_target_ms: float = 2000.0,
-    prune_lanes: bool = True,
-    clock=None,
-):
-    """The continuous-telemetry layer for a long-lived ``repro serve``.
-
-    One assembly point (like :func:`make_observer`) so the CLI and
-    tests wire identical :class:`~repro.obs.LiveTelemetry` stacks.
-    ``prune_lanes`` defaults to True here — a server that captured a
-    request's trace should release the tracer's copy — while the
-    library default is False (batch observers keep their full trace).
-    """
-    from repro.obs import LiveConfig, LiveTelemetry, SLOObjectives
-
-    return LiveTelemetry(
-        observer=observer,
-        config=LiveConfig(
-            window_s=window_s,
-            trace_capacity=trace_capacity,
-            slow_ms=slow_ms,
-            prune_lanes=prune_lanes,
-        ),
-        objectives=SLOObjectives(
-            availability=availability,
-            latency_ms=latency_target_ms,
-        ),
-        clock=clock,
-    )

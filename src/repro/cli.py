@@ -223,7 +223,9 @@ def _parse_tenant_specs(args) -> list:
 def _cmd_serve(args) -> int:
     from contextlib import nullcontext
 
-    from repro.api.runtime import make_live, make_llm, make_observer
+    from repro.api.runtime import make_llm, make_observer
+    from repro.obs import LiveTelemetry
+    from repro.schema import exception_text
     from repro.serve import (
         AdmissionController,
         AdmissionPolicy,
@@ -238,6 +240,23 @@ def _cmd_serve(args) -> int:
     observer = make_observer(
         log_level=args.log_level, trace=True, sink=render.stderr_sink
     )
+    # Every setting is checked before any tenant trains.  Continuous
+    # telemetry rides on the service observer.
+    try:
+        policy = AdmissionPolicy(
+            rate=args.rate, burst=args.burst,
+            shed_inflight=args.shed_inflight, max_inflight=args.max_inflight,
+        )
+        live = LiveTelemetry(
+            observer,
+            window_s=args.window,
+            trace_capacity=args.trace_capacity,
+            slow_ms=args.slow_ms,
+            slo_availability=args.slo_availability,
+            slo_latency_ms=args.slo_latency_ms,
+        )
+    except ValueError as exc:
+        raise SystemExit(exception_text(exc))
     registry = TenantRegistry()
     with observer.activate() if observer is not None else nullcontext():
         for name, train_path, dev_path in _parse_tenant_specs(args):
@@ -254,26 +273,6 @@ def _cmd_serve(args) -> int:
             registry.add(
                 Tenant(tenant_id=name, data=data, translator=translator)
             )
-    try:
-        policy = AdmissionPolicy(
-            rate=args.rate, burst=args.burst,
-            shed_inflight=args.shed_inflight, max_inflight=args.max_inflight,
-        )
-    except ValueError as exc:
-        from repro.schema import exception_text
-
-        raise SystemExit(exception_text(exc))
-    # Continuous telemetry rides on the service observer; a long-lived
-    # process prunes captured lanes so span memory stays bounded.
-    live = make_live(
-        observer,
-        window_s=args.window,
-        trace_capacity=args.trace_capacity,
-        slow_ms=args.slow_ms,
-        availability=args.slo_availability,
-        latency_target_ms=args.slo_latency_ms,
-        prune_lanes=True,
-    )
     service = NL2SQLService(
         registry, AdmissionController(policy), observer=observer, live=live
     )
@@ -517,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--slow-ms", type=float, default=1000.0,
-        help="latency (ms) above which a request's trace is always "
-             "retained by tail sampling",
+        help="latency (ms) from which a request's trace is tagged slow "
+             "and evicted only after healthy ones",
     )
     sv.add_argument(
         "--slo-availability", type=float, default=0.999,

@@ -392,7 +392,7 @@ class Purple:
         self.executor.close()
 
 
-@register("purple", capabilities=("explain", "demote"))
+@register("purple")
 def _make_purple(*, llm=None, train=None, budget=None, consistency_n=None,
                  seed=None, config=None, **overrides):
     """Build PURPLE; shared knobs map onto :class:`PurpleConfig` fields.

@@ -22,7 +22,7 @@ fallback rescued a query; this package can:
   :mod:`repro.obs.live`, :mod:`repro.obs.prom`, :mod:`repro.obs.top`) —
   the serving stack's always-on layer: sliding-window rates and
   p50/p95/p99, a per-tenant cost ledger, SLO burn-rate tracking, a
-  bounded tail-sampled trace store, Prometheus text exposition, and the
+  bounded trace store with tail verdicts, Prometheus text exposition, and the
   ``repro top`` dashboard.
 
 Everything hangs off one :class:`~repro.obs.runtime.Observer`; when none
@@ -36,9 +36,7 @@ spans (:func:`repro.obs.report.stage_totals`).
 from repro.obs.export import chrome_trace, read_trace, write_trace
 from repro.obs.live import (
     CostLedger,
-    LiveConfig,
     LiveTelemetry,
-    SLOObjectives,
     SLOTracker,
     TraceStore,
 )
@@ -70,9 +68,7 @@ from repro.obs.windows import WindowedCounter, WindowedHistogram, WindowedMetric
 __all__ = [
     "CostLedger",
     "LATENCY_BUCKET_BOUNDS_MS",
-    "LiveConfig",
     "LiveTelemetry",
-    "SLOObjectives",
     "SLOTracker",
     "TraceStore",
     "WindowedCounter",

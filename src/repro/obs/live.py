@@ -11,15 +11,17 @@ The batch observer answers "what did this run do"; this layer answers
   completion tokens, provider calls, repair rounds, sheds, and
   cache-served answers per tenant, with periodic snapshots, behind
   ``GET /v1/tenants/{id}/usage``;
-* **SLO burn-rate tracking** (:class:`SLOTracker`) — availability and
-  latency objectives per tenant with fast/slow multi-window burn rates,
-  emitting edge-triggered ``slo.burn`` events into the observer's
-  structured log, behind ``GET /v1/status``;
-* a **bounded trace store with tail-based sampling**
-  (:class:`TraceStore`) — every served request's span tree, captured in
-  the JSONL schema-v1 span shape; errors and slow requests are always
-  retained, healthy traffic is sampled, behind
-  ``GET /v1/trace/{request_id}``.
+* **SLO burn-rate tracking** (:class:`SLOTracker`) — one availability
+  and one latency objective, tracked per tenant with fast/slow
+  multi-window burn rates, emitting edge-triggered ``slo.burn`` events
+  into the observer's structured log, behind ``GET /v1/status``;
+* a **bounded trace store** (:class:`TraceStore`) — every served
+  request's span tree, captured in the JSONL schema-v1 span shape and
+  tagged with a tail verdict (error, slow, or sampled); healthy traces
+  are evicted first, behind ``GET /v1/trace/{request_id}``.
+
+Only the five settings ``repro serve`` exposes are arguments of
+:class:`LiveTelemetry`; everything else is a module constant.
 
 Determinism contract: nothing here opens spans or otherwise perturbs
 the request's observed execution.  Trace capture happens *after* the
@@ -27,8 +29,10 @@ request's task scope has closed, reading finished spans off the
 observer's tracer by lane, so a served translate's span tree stays
 byte-identical to the batch engine's (pinned by
 ``tests/serve/test_trace_determinism.py`` with the live layer on).
-All clocks are injectable, so tests drive windows, ledger snapshots,
-and burn rates with :class:`~repro.llm.resilient.FakeClock`.
+Captured lanes are pruned from the tracer, so a replayed request id
+derives the same span ids and span memory stays bounded.  All clocks
+are injectable, so tests drive windows, ledger snapshots, and burn
+rates with :class:`~repro.llm.resilient.FakeClock`.
 """
 
 from __future__ import annotations
@@ -38,69 +42,24 @@ from threading import Lock
 from typing import Callable, Optional
 
 from repro.llm.resilient import Clock, SystemClock
-from repro.obs.metrics import LATENCY_BUCKET_BOUNDS_MS
 from repro.obs.windows import WindowedCounter, WindowedMetrics
 
-#: Trace retention reasons (tail-based sampling verdicts).
+#: Trace retention reasons (tail verdicts).
 RETAIN_ERROR = "error"
 RETAIN_SLOW = "slow"
 RETAIN_SAMPLED = "sampled"
 
+#: The cost ledger snapshots every tenant this often and keeps this many.
+SNAPSHOT_EVERY_S = 60.0
+SNAPSHOTS_KEPT = 60
 
-@dataclass(frozen=True)
-class LiveConfig:
-    """The knobs of one :class:`LiveTelemetry` layer.
-
-    ``window_s``/``resolution_s`` size the metrics window;
-    ``slow_ms`` is the tail-sampling latency threshold above which a
-    trace is always retained; ``sample_every`` keeps every Nth healthy
-    trace (1 keeps all until ring eviction); ``prune_lanes`` forgets a
-    request's spans from the tracer once captured, bounding a
-    long-lived process's span memory (off by default so batch-style
-    observers keep their full trace).
-    """
-
-    window_s: float = 60.0
-    resolution_s: float = 1.0
-    latency_bounds_ms: tuple = LATENCY_BUCKET_BOUNDS_MS
-    trace_capacity: int = 256
-    slow_ms: float = 1000.0
-    sample_every: int = 1
-    snapshot_every_s: float = 60.0
-    snapshots_kept: int = 60
-    prune_lanes: bool = False
-
-    def __post_init__(self):
-        if self.trace_capacity < 1:
-            raise ValueError("trace_capacity must be >= 1")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-
-
-@dataclass(frozen=True)
-class SLOObjectives:
-    """One tenant's service-level objectives.
-
-    ``availability`` is the target fraction of non-failed responses
-    (5xx and 429 count against it); the latency objective asks that at
-    least ``latency_target`` of requests finish under ``latency_ms``.
-    Burn rates are computed over a fast and a slow window; ``slo.burn``
-    fires when *both* exceed ``burn_alert`` (the classic multi-window
-    guard against paging on blips).
-    """
-
-    availability: float = 0.999
-    latency_target: float = 0.99
-    latency_ms: float = 2000.0
-    fast_window_s: float = 300.0
-    slow_window_s: float = 3600.0
-    burn_alert: float = 1.0
-
-    def __post_init__(self):
-        for name in ("availability", "latency_target"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {value}")
+#: SLO constants: the share of requests that must finish under the
+#: latency threshold, the fast and slow burn windows, and the burn rate
+#: at which both windows together raise ``slo.burn``.
+LATENCY_TARGET = 0.99
+FAST_WINDOW_S = 300.0
+SLOW_WINDOW_S = 3600.0
+BURN_ALERT = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +99,14 @@ class CostLedger:
 
     Updates are driven by request completions — no background thread:
     each :meth:`record` also checks whether a snapshot of all tenants
-    is due (``snapshot_every_s`` on the injected clock) and appends it
-    to a bounded history, so ``/v1/tenants/{id}/usage`` can show both
-    the cumulative truth and its recent trajectory.
+    is due (:data:`SNAPSHOT_EVERY_S` on the injected clock) and appends
+    it to a history of :data:`SNAPSHOTS_KEPT`, so
+    ``/v1/tenants/{id}/usage`` can show both the cumulative truth and
+    its recent trajectory.
     """
 
-    def __init__(self, clock: Optional[Clock] = None,
-                 snapshot_every_s: float = 60.0, keep: int = 60):
+    def __init__(self, clock: Optional[Clock] = None):
         self.clock = clock or SystemClock()
-        self.snapshot_every_s = float(snapshot_every_s)
-        self.keep = int(keep)
         self._usage: dict = {}
         self._snapshots: list = []
         self._epoch = self.clock.monotonic()
@@ -176,7 +133,7 @@ class CostLedger:
             self._maybe_snapshot(self.clock.monotonic())
 
     def _maybe_snapshot(self, now: float) -> None:
-        if now - self._last_snapshot < self.snapshot_every_s:
+        if now - self._last_snapshot < SNAPSHOT_EVERY_S:
             return
         self._last_snapshot = now
         self._snapshots.append({
@@ -186,8 +143,8 @@ class CostLedger:
                 for tenant, usage in sorted(self._usage.items())
             },
         })
-        if len(self._snapshots) > self.keep:
-            del self._snapshots[: len(self._snapshots) - self.keep]
+        if len(self._snapshots) > SNAPSHOTS_KEPT:
+            del self._snapshots[: len(self._snapshots) - SNAPSHOTS_KEPT]
 
     def usage(self, tenant: str) -> Optional[dict]:
         """One tenant's cumulative usage (None when never seen)."""
@@ -224,12 +181,15 @@ class CostLedger:
 class _ObjectiveWindows:
     """Good/total counters over one objective's fast and slow windows."""
 
-    def __init__(self, fast_s: float, slow_s: float, clock: Clock):
-        # Sixty slots per window keeps rotation cheap at any span.
-        self.fast_total = WindowedCounter(fast_s, fast_s / 60.0, clock=clock)
-        self.fast_bad = WindowedCounter(fast_s, fast_s / 60.0, clock=clock)
-        self.slow_total = WindowedCounter(slow_s, slow_s / 60.0, clock=clock)
-        self.slow_bad = WindowedCounter(slow_s, slow_s / 60.0, clock=clock)
+    def __init__(self, clock: Clock):
+        def window(span_s: float) -> WindowedCounter:
+            # Sixty slots per window keeps rotation cheap at any span.
+            return WindowedCounter(span_s, span_s / 60.0, clock=clock)
+
+        self.fast_total = window(FAST_WINDOW_S)
+        self.fast_bad = window(FAST_WINDOW_S)
+        self.slow_total = window(SLOW_WINDOW_S)
+        self.slow_bad = window(SLOW_WINDOW_S)
 
     def record(self, bad: bool) -> None:
         self.fast_total.add(1.0)
@@ -257,70 +217,67 @@ class _ObjectiveWindows:
 class _TenantSLO:
     """One tenant's objective windows and alert state."""
 
-    def __init__(self, objectives: SLOObjectives, clock: Clock):
-        self.objectives = objectives
-        self.availability = _ObjectiveWindows(
-            objectives.fast_window_s, objectives.slow_window_s, clock
-        )
-        self.latency = _ObjectiveWindows(
-            objectives.fast_window_s, objectives.slow_window_s, clock
-        )
+    def __init__(self, clock: Clock):
+        self.availability = _ObjectiveWindows(clock)
+        self.latency = _ObjectiveWindows(clock)
         self.burning = {"availability": False, "latency": False}
 
 
 class SLOTracker:
     """Multi-window burn-rate tracking across tenants.
 
-    ``emit`` is the event hook (wired to the observer's structured
-    logger): an edge-triggered warning-level ``slo.burn`` event fires
-    when an objective's fast *and* slow burn rates cross
-    ``burn_alert``, and an info-level ``slo.recovered`` when both drop
-    back under it.
+    ``availability`` is the target fraction of non-failed responses
+    (5xx and 429 count against it); the latency objective asks that at
+    least :data:`LATENCY_TARGET` of requests finish under
+    ``latency_ms``.  Burn rates are computed over a fast and a slow
+    window; ``emit`` is the event hook (wired to the observer's
+    structured logger): an edge-triggered warning-level ``slo.burn``
+    event fires when an objective's fast *and* slow burn rates cross
+    :data:`BURN_ALERT` (the classic multi-window guard against paging
+    on blips), and an info-level ``slo.recovered`` when both drop back
+    under it.
     """
 
-    def __init__(self, objectives: Optional[SLOObjectives] = None,
+    def __init__(self, availability: float = 0.999,
+                 latency_ms: float = 2000.0,
                  clock: Optional[Clock] = None,
                  emit: Optional[Callable] = None):
-        self.defaults = objectives or SLOObjectives()
+        if not 0.0 < availability < 1.0:
+            raise ValueError(
+                f"slo_availability must be in (0, 1), got {availability}"
+            )
+        if latency_ms <= 0.0:
+            raise ValueError(
+                f"slo_latency_ms must be positive, got {latency_ms}"
+            )
+        self.availability = float(availability)
+        self.latency_ms = float(latency_ms)
         self.clock = clock or SystemClock()
         self.emit = emit
         self._tenants: dict = {}
-        self._overrides: dict = {}
         self._lock = Lock()
-
-    def set_objectives(self, tenant: str,
-                       objectives: SLOObjectives) -> None:
-        """Install per-tenant objectives (before traffic, ideally)."""
-        with self._lock:
-            self._overrides[tenant] = objectives
-            self._tenants.pop(tenant, None)
 
     def _state(self, tenant: str) -> _TenantSLO:
         with self._lock:
             state = self._tenants.get(tenant)
             if state is None:
-                objectives = self._overrides.get(tenant, self.defaults)
-                state = self._tenants[tenant] = _TenantSLO(
-                    objectives, self.clock
-                )
+                state = self._tenants[tenant] = _TenantSLO(self.clock)
             return state
 
     def record(self, tenant: str, latency_ms: float, error: bool) -> None:
         """Fold one response into the tenant's SLIs and check burns."""
         state = self._state(tenant)
-        objectives = state.objectives
         state.availability.record(bad=error)
-        state.latency.record(bad=latency_ms > objectives.latency_ms)
+        state.latency.record(bad=latency_ms > self.latency_ms)
         self._check(tenant, state, "availability", state.availability,
-                    1.0 - objectives.availability)
+                    1.0 - self.availability)
         self._check(tenant, state, "latency", state.latency,
-                    1.0 - objectives.latency_target)
+                    1.0 - LATENCY_TARGET)
 
     def _check(self, tenant: str, state: _TenantSLO, objective: str,
                windows: _ObjectiveWindows, budget: float) -> None:
         fast, slow = windows.burns(budget)
-        alert = state.objectives.burn_alert
-        burning = fast >= alert and slow >= alert
+        burning = fast >= BURN_ALERT and slow >= BURN_ALERT
         was_burning = state.burning[objective]
         if burning == was_burning:
             return
@@ -345,16 +302,13 @@ class SLOTracker:
             tenants = dict(self._tenants)
         out = {}
         for tenant, state in sorted(tenants.items()):
-            objectives = state.objectives
             avail_fast, avail_slow = state.availability.burns(
-                1.0 - objectives.availability
+                1.0 - self.availability
             )
-            lat_fast, lat_slow = state.latency.burns(
-                1.0 - objectives.latency_target
-            )
+            lat_fast, lat_slow = state.latency.burns(1.0 - LATENCY_TARGET)
             out[tenant] = {
                 "availability": {
-                    "target": objectives.availability,
+                    "target": self.availability,
                     "fast_burn": round(avail_fast, 3),
                     "slow_burn": round(avail_slow, 3),
                     "state": (
@@ -362,8 +316,8 @@ class SLOTracker:
                     ),
                 },
                 "latency": {
-                    "target": objectives.latency_target,
-                    "threshold_ms": objectives.latency_ms,
+                    "target": LATENCY_TARGET,
+                    "threshold_ms": self.latency_ms,
                     "fast_burn": round(lat_fast, 3),
                     "slow_burn": round(lat_slow, 3),
                     "state": (
@@ -380,54 +334,45 @@ class SLOTracker:
 
 
 class TraceStore:
-    """Bounded in-memory span trees with tail-based sampling.
+    """Bounded in-memory span trees with tail verdicts.
 
-    Retention verdicts are rendered at completion time (tail-based):
-    failed requests (HTTP status >= 400) and slow requests
-    (``latency_ms >= slow_ms``) are always retained; healthy traffic is
-    down-sampled to every ``sample_every``-th request.  The store is a
-    ring: past ``capacity`` entries, the oldest *sampled* entry is
-    evicted first, so errors and slow traces survive healthy churn.
+    Every offered request is stored, tagged at completion time
+    (tail-based) with why it matters: failed requests (HTTP status >=
+    400) are ``error``, slow ones (``latency_ms >= slow_ms``) ``slow``,
+    and the rest ``sampled``.  The store is a ring: past ``capacity``
+    entries, the oldest *sampled* entry is evicted first, so errors and
+    slow traces survive healthy churn.
     """
 
-    def __init__(self, capacity: int = 256, slow_ms: float = 1000.0,
-                 sample_every: int = 1):
+    def __init__(self, capacity: int = 256, slow_ms: float = 1000.0):
         if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+            raise ValueError(f"trace_capacity must be >= 1, got {capacity}")
+        if slow_ms < 0:
+            raise ValueError(f"slow_ms must be >= 0, got {slow_ms}")
         self.capacity = capacity
         self.slow_ms = float(slow_ms)
-        self.sample_every = sample_every
         self._entries: dict = {}  # request_id -> entry, insertion-ordered
         self._seen = 0
-        self._dropped = 0
         self._evicted = 0
         self._lock = Lock()
 
-    def _verdict(self, status: int, latency_ms: float) -> Optional[str]:
+    def _verdict(self, status: int, latency_ms: float) -> str:
         if status >= 400:
             return RETAIN_ERROR
         if latency_ms >= self.slow_ms:
             return RETAIN_SLOW
-        if self._seen % self.sample_every == 0:
-            return RETAIN_SAMPLED
-        return None
+        return RETAIN_SAMPLED
 
     def offer(self, request_id: str, tenant: str, status: int,
-              latency_ms: float, spans: list) -> Optional[str]:
-        """Submit one finished request; returns the retention reason.
+              latency_ms: float, spans: list) -> str:
+        """Store one finished request; returns its retention reason.
 
         ``spans`` are JSONL schema-v1 span dicts
         (:meth:`repro.obs.trace.Span.as_dict`) in ``seq`` order.
-        Returns ``None`` when tail sampling dropped the trace.
         """
         with self._lock:
             self._seen += 1
             reason = self._verdict(status, latency_ms)
-            if reason is None:
-                self._dropped += 1
-                return None
             # Re-insert so a replayed request id counts as newest.
             self._entries.pop(request_id, None)
             self._entries[request_id] = {
@@ -460,7 +405,7 @@ class TraceStore:
             return dict(entry) if entry is not None else None
 
     def stats(self) -> dict:
-        """Occupancy and sampling counters for ``/v1/metrics``."""
+        """Occupancy and eviction counters for ``/v1/metrics``."""
         with self._lock:
             retained: dict = {}
             for entry in self._entries.values():
@@ -470,7 +415,6 @@ class TraceStore:
                 "capacity": self.capacity,
                 "stored": len(self._entries),
                 "seen": self._seen,
-                "dropped": self._dropped,
                 "evicted": self._evicted,
                 "retained": dict(sorted(retained.items())),
             }
@@ -488,34 +432,26 @@ class LiveTelemetry:
     request (every endpoint, success or error) and :meth:`capture` for
     requests that ran under a task lane.  ``observer`` is optional:
     without one, windows/ledger/SLOs still work and only span capture
-    and ``slo.burn`` events are disabled.
+    and ``slo.burn`` events are disabled.  The five keyword settings
+    are ``repro serve``'s ``--window``, ``--trace-capacity``,
+    ``--slow-ms``, ``--slo-availability`` and ``--slo-latency-ms``;
+    each raises ``ValueError`` when out of range.
     """
 
-    def __init__(self, observer=None, config: Optional[LiveConfig] = None,
-                 objectives: Optional[SLOObjectives] = None,
+    def __init__(self, observer=None, *, window_s: float = 60.0,
+                 trace_capacity: int = 256, slow_ms: float = 1000.0,
+                 slo_availability: float = 0.999,
+                 slo_latency_ms: float = 2000.0,
                  clock: Optional[Clock] = None):
         self.observer = observer
-        self.config = config or LiveConfig()
         self.clock = clock or SystemClock()
-        self.windows = WindowedMetrics(
-            window_s=self.config.window_s,
-            resolution_s=self.config.resolution_s,
-            bounds=self.config.latency_bounds_ms,
-            clock=self.clock,
-        )
-        self.ledger = CostLedger(
-            clock=self.clock,
-            snapshot_every_s=self.config.snapshot_every_s,
-            keep=self.config.snapshots_kept,
-        )
+        self.windows = WindowedMetrics(window_s=window_s, clock=self.clock)
+        self.ledger = CostLedger(clock=self.clock)
         self.slo = SLOTracker(
-            objectives=objectives, clock=self.clock, emit=self._emit
+            availability=slo_availability, latency_ms=slo_latency_ms,
+            clock=self.clock, emit=self._emit,
         )
-        self.traces = TraceStore(
-            capacity=self.config.trace_capacity,
-            slow_ms=self.config.slow_ms,
-            sample_every=self.config.sample_every,
-        )
+        self.traces = TraceStore(capacity=trace_capacity, slow_ms=slow_ms)
 
     def _emit(self, name: str, level: str = "info", **fields) -> None:
         if self.observer is not None:
@@ -544,7 +480,6 @@ class LiveTelemetry:
         # 5xx and 429 (we refused an answer) do.
         error = status >= 500 or status == 429
         llm_calls = getattr(response, "llm_calls", None)
-        self.windows.count("serve.tenant_requests", tenant=tenant)
         self.ledger.record(
             tenant,
             error=error,
@@ -564,9 +499,9 @@ class LiveTelemetry:
         Reads the finished spans off the observer's tracer by lane
         (the request id), *after* the request's task scope closed — no
         spans are opened, so the tree stays byte-identical to batch.
-        With ``prune_lanes`` the tracer then forgets the lane, bounding
-        span memory in a long-lived process.  Returns the retention
-        reason, or None when sampled out / no observer.
+        The tracer then forgets the lane, bounding span memory in a
+        long-lived process.  Returns the retention reason, or None
+        without an observer.
         """
         if self.observer is None or not request_id:
             return None
@@ -575,8 +510,7 @@ class LiveTelemetry:
             request_id, tenant, status, latency_s * 1000.0,
             [span.as_dict() for span in spans],
         )
-        if self.config.prune_lanes:
-            self.observer.tracer.prune_lane(request_id)
+        self.observer.tracer.prune_lane(request_id)
         return reason
 
     def payload(self) -> dict:

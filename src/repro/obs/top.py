@@ -145,7 +145,6 @@ def render_dashboard(metrics: dict, status: dict) -> str:
             f"  traces: {traces.get('stored', 0)}"
             f"/{traces.get('capacity', 0)} stored  "
             f"{traces.get('seen', 0)} seen  "
-            f"{traces.get('dropped', 0)} sampled out  "
             f"{traces.get('evicted', 0)} evicted"
         ),
     ]

@@ -17,6 +17,12 @@ having swept it.  Observations age out at slot granularity — the
 window is "the last ``window_s`` seconds, rounded down to the current
 ``resolution_s`` interval".
 
+Windowed quantiles are *estimates*: :meth:`HistogramSummary.quantile`
+interpolates linearly inside the bucket that holds the rank, so a
+windowed p95 is only as exact as :data:`LATENCY_BUCKET_BOUNDS_MS` is
+fine.  :func:`~repro.obs.metrics.percentile` (and ``repro report``)
+take the nearest rank over raw samples instead.
+
 :class:`WindowedMetrics` keys counters and histograms by the same
 canonical ``name{labels}`` strings as the cumulative registry, so the
 ``/v1/metrics`` payload and ``repro top`` parse both sides with one
@@ -26,7 +32,7 @@ canonical ``name{labels}`` strings as the cumulative registry, so the
 from __future__ import annotations
 
 from threading import Lock
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.llm.resilient import Clock, SystemClock
 from repro.obs.metrics import (
@@ -35,27 +41,35 @@ from repro.obs.metrics import (
     metric_key,
 )
 
+#: Slot width of the ``/v1/metrics`` windows, in seconds.
+RESOLUTION_S = 1.0
+
 
 def _slot_count(window_s: float, resolution_s: float) -> int:
-    if window_s <= 0 or resolution_s <= 0:
-        raise ValueError("window_s and resolution_s must be positive")
+    if resolution_s <= 0:
+        raise ValueError(f"resolution_s must be positive, got {resolution_s}")
     slots = round(window_s / resolution_s)
     if slots < 1:
-        raise ValueError("resolution_s must divide the window into "
-                         ">= 1 slots")
+        raise ValueError(f"window_s must span at least one {resolution_s:g} s "
+                         f"slot, got {window_s}")
     return int(slots)
 
 
-class WindowedCounter:
-    """A rate counter over the trailing ``window_s`` seconds."""
+class _Ring:
+    """Per-interval slots over the trailing ``window_s`` seconds.
 
-    def __init__(self, window_s: float = 60.0, resolution_s: float = 1.0,
-                 clock: Optional[Clock] = None):
+    ``fresh`` makes an empty slot.  Subclasses fold values into
+    :meth:`_slot` and read :meth:`_live`, both under ``_lock``.
+    """
+
+    def __init__(self, window_s: float, resolution_s: float,
+                 clock: Optional[Clock], fresh: Callable):
+        slots = _slot_count(window_s, resolution_s)
         self.window_s = float(window_s)
         self.resolution_s = float(resolution_s)
         self.clock = clock or SystemClock()
-        slots = _slot_count(window_s, resolution_s)
-        self._values = [0.0] * slots
+        self._fresh = fresh
+        self._slots = [fresh() for _ in range(slots)]
         #: Absolute interval index each slot last belonged to; -1 = never.
         self._marks = [-1] * slots
         self._lock = Lock()
@@ -63,76 +77,77 @@ class WindowedCounter:
     def _interval(self) -> int:
         return int(self.clock.monotonic() // self.resolution_s)
 
+    def _slot(self) -> int:
+        """The current interval's slot index, reset if it went stale."""
+        interval = self._interval()
+        index = interval % len(self._slots)
+        if self._marks[index] != interval:
+            self._marks[index] = interval
+            self._slots[index] = self._fresh()
+        return index
+
+    def _live(self) -> list:
+        """The slots still inside the window."""
+        interval = self._interval()
+        horizon = interval - len(self._slots)
+        return [
+            slot for mark, slot in zip(self._marks, self._slots)
+            if horizon < mark <= interval
+        ]
+
+
+class WindowedCounter(_Ring):
+    """A rate counter over the trailing ``window_s`` seconds."""
+
+    def __init__(self, window_s: float = 60.0,
+                 resolution_s: float = RESOLUTION_S,
+                 clock: Optional[Clock] = None):
+        super().__init__(window_s, resolution_s, clock, float)
+
     def add(self, value: float = 1.0) -> None:
         """Fold ``value`` into the current interval's slot."""
         with self._lock:
-            interval = self._interval()
-            index = interval % len(self._values)
-            if self._marks[index] != interval:
-                self._marks[index] = interval
-                self._values[index] = 0.0
-            self._values[index] += value
+            self._slots[self._slot()] += value
 
     def total(self) -> float:
         """Sum of observations still inside the window."""
         with self._lock:
-            interval = self._interval()
-            horizon = interval - len(self._values)
-            return sum(
-                value
-                for mark, value in zip(self._marks, self._values)
-                if horizon < mark <= interval
-            )
+            return sum(self._live())
 
     def rate(self) -> float:
         """Observations per second over the window."""
         return self.total() / self.window_s
 
 
-class WindowedHistogram:
-    """A bucketed latency histogram over the trailing window.
+def _latency_summary() -> HistogramSummary:
+    return HistogramSummary(bounds=LATENCY_BUCKET_BOUNDS_MS)
 
-    Each slot is one :class:`HistogramSummary` with the same fixed
-    bounds; :meth:`summary` merges the live slots into a single summary
-    whose ``quantile`` gives streaming p50/p95/p99 for the window.
+
+class WindowedHistogram(_Ring):
+    """A latency histogram over the trailing window.
+
+    Each slot is one :class:`HistogramSummary` over
+    :data:`LATENCY_BUCKET_BOUNDS_MS`; :meth:`summary` merges the live
+    slots into a single summary whose ``quantile`` gives the window's
+    p50/p95/p99 estimates.
     """
 
-    def __init__(self, bounds: tuple = LATENCY_BUCKET_BOUNDS_MS,
-                 window_s: float = 60.0, resolution_s: float = 1.0,
+    def __init__(self, window_s: float = 60.0,
+                 resolution_s: float = RESOLUTION_S,
                  clock: Optional[Clock] = None):
-        self.bounds = tuple(bounds)
-        self.window_s = float(window_s)
-        self.resolution_s = float(resolution_s)
-        self.clock = clock or SystemClock()
-        slots = _slot_count(window_s, resolution_s)
-        self._summaries = [
-            HistogramSummary(bounds=self.bounds) for _ in range(slots)
-        ]
-        self._marks = [-1] * slots
-        self._lock = Lock()
-
-    def _interval(self) -> int:
-        return int(self.clock.monotonic() // self.resolution_s)
+        super().__init__(window_s, resolution_s, clock, _latency_summary)
 
     def observe(self, value: float) -> None:
         """Fold one observation into the current interval's slot."""
         with self._lock:
-            interval = self._interval()
-            index = interval % len(self._summaries)
-            if self._marks[index] != interval:
-                self._marks[index] = interval
-                self._summaries[index] = HistogramSummary(bounds=self.bounds)
-            self._summaries[index].add(value)
+            self._slots[self._slot()].add(value)
 
     def summary(self) -> HistogramSummary:
         """One merged summary of every observation still in the window."""
-        merged = HistogramSummary(bounds=self.bounds)
+        merged = _latency_summary()
         with self._lock:
-            interval = self._interval()
-            horizon = interval - len(self._summaries)
-            for mark, slot in zip(self._marks, self._summaries):
-                if horizon < mark <= interval:
-                    merged.merge(slot)
+            for slot in self._live():
+                merged.merge(slot)
         return merged
 
 
@@ -141,62 +156,42 @@ class WindowedMetrics:
 
     Counters and histograms are keyed by the canonical ``name{labels}``
     strings of :func:`~repro.obs.metrics.metric_key`; every key gets its
-    own ring sharing this registry's window, resolution, bounds, and
-    clock.  ``snapshot`` is JSON-ready and deterministically ordered.
+    own ring sharing this registry's window and clock, at
+    :data:`RESOLUTION_S`.  ``snapshot`` is JSON-ready and
+    deterministically ordered.
     """
 
-    def __init__(self, window_s: float = 60.0, resolution_s: float = 1.0,
-                 bounds: tuple = LATENCY_BUCKET_BOUNDS_MS,
+    def __init__(self, window_s: float = 60.0,
                  clock: Optional[Clock] = None):
-        _slot_count(window_s, resolution_s)  # validate early
+        _slot_count(window_s, RESOLUTION_S)  # validate early
         self.window_s = float(window_s)
-        self.resolution_s = float(resolution_s)
-        self.bounds = tuple(bounds)
         self.clock = clock or SystemClock()
         self._counters: dict = {}
         self._histograms: dict = {}
         self._lock = Lock()
 
-    def _counter(self, key: str) -> WindowedCounter:
+    def _ring(self, rings: dict, key: str, kind):
         with self._lock:
-            counter = self._counters.get(key)
-            if counter is None:
-                counter = self._counters[key] = WindowedCounter(
-                    self.window_s, self.resolution_s, clock=self.clock
-                )
-            return counter
-
-    def _histogram(self, key: str) -> WindowedHistogram:
-        with self._lock:
-            histogram = self._histograms.get(key)
-            if histogram is None:
-                histogram = self._histograms[key] = WindowedHistogram(
-                    self.bounds, self.window_s, self.resolution_s,
-                    clock=self.clock,
-                )
-            return histogram
+            ring = rings.get(key)
+            if ring is None:
+                ring = rings[key] = kind(self.window_s, clock=self.clock)
+            return ring
 
     def count(self, name: str, value: float = 1.0, **labels) -> None:
         """Increment a windowed rate counter."""
-        self._counter(metric_key(name, labels)).add(value)
+        self._ring(self._counters, metric_key(name, labels),
+                   WindowedCounter).add(value)
 
     def observe(self, name: str, value: float, **labels) -> None:
         """Fold one observation into a windowed histogram."""
-        self._histogram(metric_key(name, labels)).observe(value)
+        self._ring(self._histograms, metric_key(name, labels),
+                   WindowedHistogram).observe(value)
 
     def counter_total(self, name: str, **labels) -> float:
         """One windowed counter's in-window total (0.0 when unseen)."""
         with self._lock:
             counter = self._counters.get(metric_key(name, labels))
         return counter.total() if counter is not None else 0.0
-
-    def histogram(self, name: str, **labels) -> HistogramSummary:
-        """The merged in-window summary for one histogram key."""
-        with self._lock:
-            histogram = self._histograms.get(metric_key(name, labels))
-        if histogram is None:
-            return HistogramSummary(bounds=self.bounds)
-        return histogram.summary()
 
     def snapshot(self) -> dict:
         """JSON-ready windowed truth, deterministically ordered.
@@ -210,7 +205,7 @@ class WindowedMetrics:
             histograms = dict(self._histograms)
         return {
             "window_s": self.window_s,
-            "resolution_s": self.resolution_s,
+            "resolution_s": RESOLUTION_S,
             "counters": {
                 key: {
                     "total": round(counter.total(), 6),

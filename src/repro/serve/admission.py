@@ -82,6 +82,8 @@ class AdmissionPolicy:
     ``rate``/``burst`` parameterize each tenant's token bucket;
     ``shed_inflight`` is the soft depth cap past which requests are
     demoted; ``max_inflight`` the hard cap past which they are refused.
+    Every check runs here, at configuration time: a bucket that cannot
+    be built would otherwise fail every request in its handler thread.
     """
 
     rate: float = 50.0
@@ -90,6 +92,10 @@ class AdmissionPolicy:
     max_inflight: int = 64
 
     def __post_init__(self):
+        for name in ("rate", "burst"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.max_inflight < self.shed_inflight:
             raise ValueError("max_inflight must be >= shed_inflight")
 

@@ -84,12 +84,6 @@ class NL2SQLService:
         self.executor = SQLiteExecutor()
         self._sequences: dict = {}
         self._lock = threading.Lock()
-        if live is not None:
-            for tenant in registry:
-                if tenant.objectives is not None:
-                    live.slo.set_objectives(
-                        tenant.tenant_id, tenant.objectives
-                    )
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -113,25 +107,6 @@ class NL2SQLService:
             request, request_id=f"{request.tenant}-{sequence:06d}"
         )
 
-    def _record(self, endpoint: str, tenant_id: str, latency_s: float,
-                status: int, response=None, known_tenant: bool = True) -> None:
-        if self.observer is not None:
-            metrics = self.observer.metrics
-            metrics.count("serve.requests", endpoint=endpoint,
-                          tenant=tenant_id)
-            if status >= 400:
-                metrics.count("serve.errors", endpoint=endpoint,
-                              status=status)
-            metrics.observe(
-                "serve.latency_ms", latency_s * 1000.0, endpoint=endpoint,
-                tenant=tenant_id,
-            )
-        if self.live is not None:
-            self.live.record_request(
-                endpoint, tenant_id, latency_s, status,
-                response=response, track_tenant=known_tenant,
-            )
-
     def _resolve(self, request):
         """Tenant + database for a wire request, or the error envelope."""
         try:
@@ -150,59 +125,87 @@ class NL2SQLService:
             ))
         return tenant, database, None
 
-    def _overloaded(self, request):
-        return 429, ErrorEnvelope(
-            code="overloaded",
-            message="server at capacity; retry later",
-            request_id=request.request_id,
-            status=429,
+    def _serve(self, endpoint: str, request, handle, traced: bool = False):
+        """Run one POST endpoint and record it, once, whatever the outcome.
+
+        Assigns the request id, resolves tenant and database (404), and
+        times ``handle(request, tenant, database, verdict) -> (status,
+        payload)`` under the service observer and an admission verdict
+        (429 on reject).  A ``traced`` endpoint runs under the request's
+        task lane: on success its span tree is captured and the response
+        carries its latency.
+        """
+        request = self._ensure_request_id(request)
+        tenant, database, error = self._resolve(request)
+        latency = 0.0
+        if error is not None:
+            status, payload = error
+        else:
+            started = time.perf_counter()
+            with self._activated():
+                with self.admission.request(request.tenant) as verdict:
+                    if verdict == REJECT:
+                        status, payload = 429, ErrorEnvelope(
+                            code="overloaded",
+                            message="server at capacity; retry later",
+                            request_id=request.request_id, status=429,
+                        )
+                    else:
+                        status, payload = handle(
+                            request, tenant, database, verdict
+                        )
+            latency = time.perf_counter() - started
+        if self.observer is not None:
+            metrics = self.observer.metrics
+            metrics.count("serve.requests", endpoint=endpoint,
+                          tenant=request.tenant)
+            if status >= 400:
+                metrics.count("serve.errors", endpoint=endpoint,
+                              status=status)
+            metrics.observe(
+                "serve.latency_ms", latency * 1000.0, endpoint=endpoint,
+                tenant=request.tenant,
+            )
+        if self.live is not None:
+            # Unresolvable tenants must not grow per-tenant state.
+            self.live.record_request(
+                endpoint, request.tenant, latency, status,
+                response=payload, track_tenant=tenant is not None,
+            )
+        if not traced or status != 200:
+            return status, payload
+        if self.live is not None:
+            # Tail capture happens after the task scope has closed: the
+            # finished spans are read off the tracer by lane, so the
+            # stored tree is exactly what the batch engine would emit.
+            self.live.capture(
+                request.request_id, request.tenant, status, latency
+            )
+        return status, dataclasses.replace(
+            payload, latency_ms=round(latency * 1000.0, 3)
         )
 
     # -- endpoints --------------------------------------------------------------
 
     def translate(self, request: TranslateRequest):
         """``POST /v1/translate`` — one NL question to SQL."""
-        request = self._ensure_request_id(request)
-        tenant, database, error = self._resolve(request)
-        if error is not None:
-            self._record("translate", request.tenant, 0.0, error[0],
-                         known_tenant=tenant is not None)
-            return error
-        started = time.perf_counter()
-        with self._activated():
-            with self.admission.request(request.tenant) as verdict:
-                if verdict == REJECT:
-                    status, envelope = self._overloaded(request)
-                    self._record("translate", request.tenant,
-                                 time.perf_counter() - started, status)
-                    return status, envelope
-                min_rung = SHED_RUNG if verdict == SHED else 0
-                # The tracing scope the batch engine puts around a task
-                # (repro.eval.engine.map_ordered.run_one), lane = the
-                # request id: the served span tree must be identical.
-                observed = (
-                    self.observer.task(request.request_id)
-                    if self.observer is not None
-                    else nullcontext()
-                )
-                with task_lane(request.request_id), observed:
-                    response = api.translate(
-                        tenant.translator, request, database=database,
-                        min_rung=min_rung,
-                    )
-        latency = time.perf_counter() - started
-        self._record("translate", request.tenant, latency, 200,
-                     response=response)
-        if self.live is not None:
-            # Tail capture happens after the task scope has closed: the
-            # finished spans are read off the tracer by lane, so the
-            # stored tree is exactly what the batch engine would emit.
-            self.live.capture(
-                request.request_id, request.tenant, 200, latency
+
+        def handle(request, tenant, database, verdict):
+            # The tracing scope the batch engine puts around a task
+            # (repro.eval.engine.map_ordered.run_one), lane = the
+            # request id: the served span tree must be identical.
+            observed = (
+                self.observer.task(request.request_id)
+                if self.observer is not None
+                else nullcontext()
             )
-        return 200, dataclasses.replace(
-            response, latency_ms=round(latency * 1000.0, 3)
-        )
+            with task_lane(request.request_id), observed:
+                return 200, api.translate(
+                    tenant.translator, request, database=database,
+                    min_rung=SHED_RUNG if verdict == SHED else 0,
+                )
+
+        return self._serve("translate", request, handle, traced=True)
 
     def explain(self, request: TranslateRequest, sql: Optional[str] = None):
         """``POST /v1/explain`` — diagnostics + retrieval provenance.
@@ -210,43 +213,28 @@ class NL2SQLService:
         LLM-free and cheap, so shedding does not demote it; only the
         hard in-flight cap pushes back.
         """
-        request = self._ensure_request_id(request)
-        tenant, database, error = self._resolve(request)
-        if error is not None:
-            self._record("explain", request.tenant, 0.0, error[0],
-                         known_tenant=tenant is not None)
-            return error
-        started = time.perf_counter()
-        with self._activated():
-            with self.admission.request(request.tenant) as verdict:
-                if verdict == REJECT:
-                    status, envelope = self._overloaded(request)
-                    self._record("explain", request.tenant,
-                                 time.perf_counter() - started, status)
-                    return status, envelope
-                task = task_from_request(request, database)
-                try:
-                    info = api.explain(tenant.translator, task, sql=sql)
-                except api.CapabilityError as exc:
-                    status = 501
-                    self._record("explain", request.tenant,
-                                 time.perf_counter() - started, status)
-                    return status, ErrorEnvelope(
-                        code="unsupported", message=exception_text(exc),
-                        request_id=request.request_id, status=status,
-                    )
-        latency = time.perf_counter() - started
-        self._record("explain", request.tenant, latency, 200)
-        return 200, ExplainResponse(
-            request_id=request.request_id,
-            tenant=request.tenant,
-            db_id=request.db_id,
-            sql=info.get("sql", sql or ""),
-            diagnostics=tuple(info.get("diagnostics", ())),
-            skeletons=tuple(info.get("skeletons", ())),
-            demonstrations=tuple(info.get("demonstrations", ())),
-            pruned_tables=tuple(info.get("pruned_tables", ())),
-        )
+
+        def handle(request, tenant, database, verdict):
+            task = task_from_request(request, database)
+            try:
+                info = api.explain(tenant.translator, task, sql=sql)
+            except api.CapabilityError as exc:
+                return 501, ErrorEnvelope(
+                    code="unsupported", message=exception_text(exc),
+                    request_id=request.request_id, status=501,
+                )
+            return 200, ExplainResponse(
+                request_id=request.request_id,
+                tenant=request.tenant,
+                db_id=request.db_id,
+                sql=info.get("sql", sql or ""),
+                diagnostics=tuple(info.get("diagnostics", ())),
+                skeletons=tuple(info.get("skeletons", ())),
+                demonstrations=tuple(info.get("demonstrations", ())),
+                pruned_tables=tuple(info.get("pruned_tables", ())),
+            )
+
+        return self._serve("explain", request, handle)
 
     def execute(self, request: ExecuteRequest):
         """``POST /v1/execute`` — run SQL against a tenant database.
@@ -256,39 +244,29 @@ class NL2SQLService:
         classification code with HTTP 200, because the statement was
         served — it just failed.
         """
-        request = self._ensure_request_id(request)
-        tenant, database, error = self._resolve(request)
-        if error is not None:
-            self._record("execute", request.tenant, 0.0, error[0],
-                         known_tenant=tenant is not None)
-            return error
-        started = time.perf_counter()
-        with self._activated():
-            with self.admission.request(request.tenant) as verdict:
-                if verdict == REJECT:
-                    status, envelope = self._overloaded(request)
-                    self._record("execute", request.tenant,
-                                 time.perf_counter() - started, status)
-                    return status, envelope
-                # Tenant-scoped registry key: two tenants with a db of
-                # the same id never share a connection.
-                key = f"{request.tenant}/{request.db_id}"
-                self.executor.register(database, key=key)
-                result = self.executor.execute(key, request.sql)
-        latency = time.perf_counter() - started
-        self._record("execute", request.tenant, latency, 200)
-        rows = tuple(result.rows[:MAX_ROWS]) if result.rows is not None else ()
-        return 200, ExecuteResponse(
-            request_id=request.request_id,
-            tenant=request.tenant,
-            db_id=request.db_id,
-            columns=tuple(result.columns),
-            rows=rows,
-            row_count=len(result.rows) if result.rows is not None else 0,
-            error=result.error,
-            error_code=result.info.code if result.info is not None else None,
-            timed_out=result.timed_out,
-        )
+
+        def handle(request, tenant, database, verdict):
+            # Tenant-scoped registry key: two tenants with a db of the
+            # same id never share a connection.
+            key = f"{request.tenant}/{request.db_id}"
+            self.executor.register(database, key=key)
+            result = self.executor.execute(key, request.sql)
+            rows = result.rows if result.rows is not None else ()
+            return 200, ExecuteResponse(
+                request_id=request.request_id,
+                tenant=request.tenant,
+                db_id=request.db_id,
+                columns=tuple(result.columns),
+                rows=tuple(rows[:MAX_ROWS]),
+                row_count=len(rows),
+                error=result.error,
+                error_code=(
+                    result.info.code if result.info is not None else None
+                ),
+                timed_out=result.timed_out,
+            )
+
+        return self._serve("execute", request, handle)
 
     def health(self):
         """``GET /v1/health`` — service + per-tenant liveness report."""

@@ -14,7 +14,7 @@ goes through the owning :class:`Tenant`, never a global pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class UnknownTenantError(KeyError):
@@ -47,16 +47,12 @@ class Tenant:
     ``data`` holds the databases this tenant may query; ``translator``
     is the tenant's own fitted approach instance (instances are never
     shared across tenants — per-tenant repair budgets hang off
-    them).  ``objectives``
-    (a :class:`~repro.obs.live.SLOObjectives`, optional) overrides the
-    service-wide SLO targets for this tenant; the service installs it
-    into the live-telemetry SLO tracker at construction.
+    them).
     """
 
     tenant_id: str
     data: object
     translator: object
-    objectives: Optional[object] = None
 
     def database(self, db_id: str):
         """Resolve one of this tenant's databases or raise typed."""

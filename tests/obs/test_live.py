@@ -12,10 +12,9 @@ from repro.obs.live import (
     RETAIN_ERROR,
     RETAIN_SAMPLED,
     RETAIN_SLOW,
+    SNAPSHOTS_KEPT,
     CostLedger,
-    LiveConfig,
     LiveTelemetry,
-    SLOObjectives,
     SLOTracker,
     TraceStore,
 )
@@ -60,17 +59,20 @@ class TestCostLedger:
 
     def test_periodic_snapshots(self):
         clock = FakeClock()
-        ledger = CostLedger(clock=clock, snapshot_every_s=10.0, keep=3)
-        for i in range(6):
-            clock.now += 10.0
+        ledger = CostLedger(clock=clock)
+        clock.now += 30.0
+        ledger.record("acme", prompt_tokens=10)
+        assert ledger.snapshots() == [], "no snapshot before a minute"
+        for _ in range(SNAPSHOTS_KEPT + 5):
+            clock.now += 60.0
             ledger.record("acme", prompt_tokens=10)
         history = ledger.snapshots()
-        assert len(history) == 3, "history is bounded to keep"
+        assert len(history) == SNAPSHOTS_KEPT, "history is bounded"
         tenant_history = ledger.snapshots("acme")
         # Monotone: later snapshots carry strictly more spend.
         tokens = [snap["usage"]["prompt_tokens"] for snap in tenant_history]
         assert tokens == sorted(tokens)
-        assert tokens[-1] >= 40
+        assert tokens[-1] == 10 * (SNAPSHOTS_KEPT + 6)
 
     def test_totals_sorted(self):
         ledger = CostLedger(clock=FakeClock())
@@ -80,16 +82,15 @@ class TestCostLedger:
 
 
 class TestSLOTracker:
-    def objectives(self):
-        return SLOObjectives(availability=0.9, latency_target=0.9,
-                             latency_ms=100.0, fast_window_s=60.0,
-                             slow_window_s=600.0)
+    def tracker(self, clock, emit=None):
+        return SLOTracker(availability=0.9, latency_ms=100.0, clock=clock,
+                          emit=emit)
 
     def test_healthy_traffic_no_burn(self):
         clock = FakeClock()
         events = []
-        tracker = SLOTracker(self.objectives(), clock=clock,
-                             emit=lambda name, **f: events.append(name))
+        tracker = self.tracker(clock,
+                               emit=lambda name, **f: events.append(name))
         for _ in range(100):
             clock.now += 0.5
             tracker.record("acme", latency_ms=10.0, error=False)
@@ -101,9 +102,8 @@ class TestSLOTracker:
     def test_burn_event_is_edge_triggered(self):
         clock = FakeClock()
         events = []
-        tracker = SLOTracker(
-            self.objectives(), clock=clock,
-            emit=lambda name, **fields: events.append((name, fields)),
+        tracker = self.tracker(
+            clock, emit=lambda name, **fields: events.append((name, fields)),
         )
         # 50% errors against a 10% budget: burn = 5x on both windows.
         for i in range(40):
@@ -120,9 +120,8 @@ class TestSLOTracker:
     def test_recovery_event_when_burn_clears(self):
         clock = FakeClock()
         events = []
-        tracker = SLOTracker(
-            self.objectives(), clock=clock,
-            emit=lambda name, **fields: events.append(name),
+        tracker = self.tracker(
+            clock, emit=lambda name, **fields: events.append(name),
         )
         for _ in range(20):
             clock.now += 1.0
@@ -136,7 +135,7 @@ class TestSLOTracker:
 
     def test_latency_objective_independent(self):
         clock = FakeClock()
-        tracker = SLOTracker(self.objectives(), clock=clock)
+        tracker = self.tracker(clock)
         for _ in range(50):
             clock.now += 1.0
             tracker.record("acme", latency_ms=500.0, error=False)
@@ -144,26 +143,23 @@ class TestSLOTracker:
         assert status["latency"]["state"] == "burning"
         assert status["availability"]["state"] == "ok"
 
-    def test_per_tenant_objectives(self):
+    def test_tenants_burn_independently(self):
         clock = FakeClock()
-        tracker = SLOTracker(self.objectives(), clock=clock)
-        tracker.set_objectives("gold", SLOObjectives(
-            availability=0.9, latency_target=0.9, latency_ms=5.0,
-            fast_window_s=60.0, slow_window_s=600.0,
-        ))
+        tracker = self.tracker(clock)
         for _ in range(50):
             clock.now += 1.0
-            tracker.record("gold", latency_ms=50.0, error=False)
+            tracker.record("slow", latency_ms=500.0, error=False)
             tracker.record("acme", latency_ms=50.0, error=False)
         status = tracker.status()
-        assert status["gold"]["latency"]["state"] == "burning"
+        assert status["slow"]["latency"]["state"] == "burning"
         assert status["acme"]["latency"]["state"] == "ok"
+        assert status["acme"]["latency"]["target"] == 0.99
 
     def test_objectives_validated(self):
-        with pytest.raises(ValueError):
-            SLOObjectives(availability=1.0)
-        with pytest.raises(ValueError):
-            SLOObjectives(latency_target=0.0)
+        for settings in ({"availability": 1.0}, {"availability": 0.0},
+                         {"latency_ms": 0.0}, {"latency_ms": -1.0}):
+            with pytest.raises(ValueError):
+                SLOTracker(**settings)
 
 
 def spans_for(request_id):
@@ -174,7 +170,7 @@ def spans_for(request_id):
 
 class TestTraceStore:
     def test_errors_and_slow_always_retained(self):
-        store = TraceStore(capacity=8, slow_ms=100.0, sample_every=1000)
+        store = TraceStore(capacity=8, slow_ms=100.0)
         assert store.offer("e1", "acme", 500, 10.0,
                            spans_for("e1")) == RETAIN_ERROR
         assert store.offer("s1", "acme", 200, 250.0,
@@ -183,19 +179,18 @@ class TestTraceStore:
         assert store.get("s1")["retained"] == RETAIN_SLOW
 
     def test_healthy_traffic_sampled(self):
-        store = TraceStore(capacity=100, slow_ms=1000.0, sample_every=10)
-        kept = sum(
+        store = TraceStore(capacity=100, slow_ms=1000.0)
+        verdicts = {
             store.offer(f"r{i}", "acme", 200, 5.0, spans_for(f"r{i}"))
-            is not None
             for i in range(100)
-        )
-        assert kept == 10
+        }
+        assert verdicts == {RETAIN_SAMPLED}, "every healthy trace is kept"
         stats = store.stats()
-        assert stats["seen"] == 100
-        assert stats["dropped"] == 90
+        assert stats["seen"] == stats["stored"] == 100
+        assert stats["retained"] == {RETAIN_SAMPLED: 100}
 
     def test_eviction_prefers_sampled_over_errors(self):
-        store = TraceStore(capacity=4, slow_ms=1000.0, sample_every=1)
+        store = TraceStore(capacity=4, slow_ms=1000.0)
         store.offer("err", "acme", 500, 5.0, spans_for("err"))
         for i in range(10):
             store.offer(f"ok{i}", "acme", 200, 5.0, spans_for(f"ok{i}"))
@@ -204,7 +199,7 @@ class TestTraceStore:
         assert store.stats()["evicted"] == 7
 
     def test_replayed_request_id_replaces(self):
-        store = TraceStore(capacity=4, sample_every=1)
+        store = TraceStore(capacity=4)
         store.offer("r", "acme", 200, 5.0, spans_for("r"))
         store.offer("r", "acme", 500, 5.0, spans_for("r"))
         assert store.stats()["stored"] == 1
@@ -220,13 +215,15 @@ class TestTraceStore:
 class TestLiveTelemetry:
     def test_record_request_feeds_all_parts(self):
         clock = FakeClock()
-        live = LiveTelemetry(config=LiveConfig(window_s=30.0), clock=clock)
+        live = LiveTelemetry(window_s=30.0, clock=clock)
         for _ in range(10):
             clock.now += 1.0
             live.record_request("translate", "acme", 0.040, 200,
                                 response=FakeResponse())
         payload = live.payload()
         counters = payload["windows"]["counters"]
+        # Per-tenant counts live in the ledger, not in a window.
+        assert list(counters) == ["serve.requests{endpoint=translate}"]
         assert counters["serve.requests{endpoint=translate}"]["total"] == 10.0
         hist = payload["windows"]["histograms"][
             "serve.latency_ms{endpoint=translate}"
@@ -255,11 +252,7 @@ class TestLiveTelemetry:
         observer = Observer(seed=0, log_level="info")
         with observer.task("req-1"):
             pass
-        live = LiveTelemetry(
-            observer=observer,
-            config=LiveConfig(prune_lanes=True),
-            clock=FakeClock(),
-        )
+        live = LiveTelemetry(observer, clock=FakeClock())
         reason = live.capture("req-1", "acme", 200, 0.01)
         assert reason == RETAIN_SAMPLED
         entry = live.traces.get("req-1")
@@ -270,12 +263,7 @@ class TestLiveTelemetry:
     def test_slo_burn_event_reaches_observer_log(self):
         clock = FakeClock()
         observer = Observer(seed=0, log_level="info")
-        live = LiveTelemetry(
-            observer=observer,
-            objectives=SLOObjectives(availability=0.9, fast_window_s=60.0,
-                                     slow_window_s=600.0),
-            clock=clock,
-        )
+        live = LiveTelemetry(observer, slo_availability=0.9, clock=clock)
         for _ in range(30):
             clock.now += 1.0
             live.record_request("translate", "acme", 0.01, 500)

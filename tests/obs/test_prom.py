@@ -3,7 +3,7 @@
 import pytest
 
 from repro.llm.resilient import FakeClock
-from repro.obs import LiveConfig, LiveTelemetry, MetricsRegistry
+from repro.obs import LiveTelemetry, MetricsRegistry
 from repro.obs.prom import (
     escape_label_value,
     parse_prometheus_text,
@@ -85,7 +85,7 @@ class TestExposition:
 
     def test_windowed_histogram_buckets_round_trip(self):
         clock = FakeClock()
-        live = LiveTelemetry(config=LiveConfig(window_s=10.0), clock=clock)
+        live = LiveTelemetry(window_s=10.0, clock=clock)
         for _ in range(20):
             live.record_request("translate", "acme", 0.040, 200)
         reg = MetricsRegistry()

@@ -7,10 +7,12 @@ produced the traffic.
 """
 
 import threading
+from bisect import bisect_left
 
 import pytest
 
 from repro.llm.resilient import FakeClock
+from repro.obs.metrics import LATENCY_BUCKET_BOUNDS_MS
 from repro.obs.windows import (
     WindowedCounter,
     WindowedHistogram,
@@ -61,14 +63,16 @@ class TestWindowedCounter:
 class TestWindowedHistogram:
     def test_summary_merges_live_slots(self):
         clock = FakeClock()
-        hist = WindowedHistogram(bounds=(10.0, 100.0), window_s=10.0,
-                                 resolution_s=1.0, clock=clock)
+        hist = WindowedHistogram(window_s=10.0, resolution_s=1.0,
+                                 clock=clock)
         hist.observe(5.0)
         clock.now += 1.0
         hist.observe(50.0)
         summary = hist.summary()
         assert summary.count == 2
-        assert summary.buckets == [1, 1, 0]
+        assert summary.bounds == LATENCY_BUCKET_BOUNDS_MS
+        assert summary.buckets[bisect_left(summary.bounds, 5.0)] == 1
+        assert summary.buckets[bisect_left(summary.bounds, 50.0)] == 1
         assert summary.min == 5.0 and summary.max == 50.0
 
     def test_quantiles_track_the_window(self):
@@ -100,13 +104,12 @@ class TestWindowedMetrics:
 
     def test_snapshot_shape(self):
         clock = FakeClock()
-        metrics = WindowedMetrics(window_s=30.0, resolution_s=0.5,
-                                  clock=clock)
+        metrics = WindowedMetrics(window_s=30.0, clock=clock)
         metrics.count("a.b")
         metrics.observe("c.d", 12.0)
         snap = metrics.snapshot()
         assert snap["window_s"] == 30.0
-        assert snap["resolution_s"] == 0.5
+        assert snap["resolution_s"] == 1.0
         assert snap["counters"]["a.b"] == {
             "total": 1.0, "rate": round(1.0 / 30.0, 6),
         }
@@ -117,7 +120,7 @@ class TestWindowedMetrics:
     def test_unseen_keys_read_zero(self):
         metrics = WindowedMetrics(clock=FakeClock())
         assert metrics.counter_total("never.seen") == 0.0
-        assert metrics.histogram("never.seen").count == 0
+        assert metrics.snapshot()["histograms"] == {}
 
 
 class TestConcurrentWriters:
@@ -128,8 +131,7 @@ class TestConcurrentWriters:
 
     def _drive(self, workers: int) -> dict:
         clock = FakeClock()
-        metrics = WindowedMetrics(window_s=self.WINDOW_S, resolution_s=1.0,
-                                  clock=clock)
+        metrics = WindowedMetrics(window_s=self.WINDOW_S, clock=clock)
         barrier = threading.Barrier(workers + 1)
 
         def worker(worker_id: int):
@@ -170,8 +172,7 @@ class TestConcurrentWriters:
         # produce the same windowed truth (rates, buckets, quantiles).
         def normalized(workers):
             clock = FakeClock()
-            metrics = WindowedMetrics(window_s=16.0, resolution_s=1.0,
-                                      clock=clock)
+            metrics = WindowedMetrics(window_s=16.0, clock=clock)
             total = 1200
             per_worker = total // workers
             values = [float((i * 13) % 200) for i in range(total)]

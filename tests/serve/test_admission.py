@@ -48,6 +48,15 @@ class TestPolicy:
         with pytest.raises(ValueError, match="max_inflight"):
             AdmissionPolicy(shed_inflight=10, max_inflight=5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("rate", 0.0), ("rate", -1.0), ("burst", 0), ("burst", -3),
+    ])
+    def test_rate_and_burst_must_be_positive(self, field, value):
+        # Caught at configuration time, not by the first request's
+        # token bucket in a handler thread.
+        with pytest.raises(ValueError, match=field):
+            AdmissionPolicy(**{field: value})
+
 
 class TestController:
     def make(self, **kwargs):

@@ -6,14 +6,13 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.api.runtime import make_live
 from repro.api.types import (
     ErrorEnvelope,
     ExecuteResponse,
     ExplainResponse,
     TranslateResponse,
 )
-from repro.obs import Observer
+from repro.obs import LiveTelemetry, Observer
 from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
@@ -324,7 +323,7 @@ def live_client(translator, dev_set):
         registry,
         AdmissionController(AdmissionPolicy(rate=1000.0, burst=1000)),
         observer=observer,
-        live=make_live(observer, prune_lanes=True),
+        live=LiveTelemetry(observer),
     )
     server = ReproServer(service, port=0).start()
     conn = HTTPConnection(*server.address, timeout=10)

@@ -12,9 +12,8 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.api.runtime import make_live
 from repro.llm.resilient import FakeClock
-from repro.obs import Observer
+from repro.obs import LiveTelemetry, Observer
 from repro.obs.prom import parse_prometheus_text
 from repro.obs.top import render_dashboard
 from repro.serve import (
@@ -44,7 +43,7 @@ def live_service(translator, dev_set, live_clock):
         registry,
         AdmissionController(AdmissionPolicy(rate=1000.0, burst=1000)),
         observer=observer,
-        live=make_live(observer, prune_lanes=True, clock=live_clock),
+        live=LiveTelemetry(observer, clock=live_clock),
     )
     yield svc
     svc.close()
@@ -188,7 +187,7 @@ class TestMetricsLiveSection:
         assert live.windows.counter_total(
             "serve.requests", endpoint="translate"
         ) == 2.0
-        live_clock.now += live.config.window_s + 1.0
+        live_clock.now += live.windows.window_s + 1.0
         # The window forgets; the cumulative ledger does not.
         assert live.windows.counter_total(
             "serve.requests", endpoint="translate"
@@ -253,3 +252,80 @@ class TestTopDashboard:
         args = build_parser().parse_args(["top", "--once"])
         assert args.once
         assert args.func.__name__ == "_cmd_top"
+
+#: Every POST endpoint crossed with every outcome it can produce.
+RECORDED_OUTCOMES = [
+    (endpoint, outcome, status)
+    for endpoint in ("translate", "explain", "execute")
+    for outcome, status in (("ok", 200), ("unknown_tenant", 404),
+                            ("unknown_database", 404), ("overloaded", 429))
+] + [("explain", "unsupported", 501)]
+
+
+class TestEachRequestRecordedOnce:
+    """One request, one record: registry, window, and ledger agree."""
+
+    @pytest.fixture(scope="class")
+    def plain_translator(self, train_set):
+        from repro import api
+        from repro.llm import MockLLM, profile_by_name
+
+        return api.create(
+            "zero", llm=MockLLM(profile_by_name("gpt4")), train=train_set
+        )
+
+    @staticmethod
+    def _request(endpoint, dev_set, tenant, db_id):
+        from repro.api.types import ExecuteRequest, TranslateRequest
+
+        if endpoint == "execute":
+            return ExecuteRequest(sql="SELECT 1", db_id=db_id, tenant=tenant)
+        return TranslateRequest(question=dev_set.examples[0].question,
+                                db_id=db_id, tenant=tenant)
+
+    @staticmethod
+    def _counts(service, endpoint, tenant):
+        live = service.live
+        return {
+            "registry": service.observer.metrics.snapshot().counter(
+                "serve.requests", endpoint=endpoint, tenant=tenant
+            ),
+            "windowed": live.windows.counter_total(
+                "serve.requests", endpoint=endpoint
+            ),
+            "ledger": sum(usage["requests"]
+                          for usage in live.ledger.totals().values()),
+        }
+
+    @pytest.mark.parametrize("endpoint,outcome,expected", RECORDED_OUTCOMES)
+    def test_recorded_exactly_once(self, live_service, dev_set,
+                                   plain_translator, endpoint, outcome,
+                                   expected):
+        tenant = {"unknown_tenant": "ghost",
+                  "unsupported": "plain"}.get(outcome, "acme")
+        if outcome == "unsupported":
+            live_service.registry.add(Tenant(
+                tenant_id="plain", data=dev_set, translator=plain_translator,
+            ))
+        db_id = ("no_such_db" if outcome == "unknown_database"
+                 else dev_set.examples[0].db_id)
+        request = self._request(endpoint, dev_set, tenant, db_id)
+        admission = live_service.admission
+        held = admission.policy.max_inflight if outcome == "overloaded" else 0
+        for _ in range(held):
+            admission.acquire("holder")
+        before = self._counts(live_service, endpoint, tenant)
+        try:
+            status, _ = getattr(live_service, endpoint)(request)
+        finally:
+            for _ in range(held):
+                admission.release()
+        after = self._counts(live_service, endpoint, tenant)
+
+        assert status == expected
+        assert after["registry"] - before["registry"] == 1
+        assert after["windowed"] - before["windowed"] == 1
+        known_tenant = outcome != "unknown_tenant"
+        assert after["ledger"] - before["ledger"] == int(known_tenant)
+        if not known_tenant:
+            assert live_service.live.ledger.usage(tenant) is None

@@ -365,3 +365,31 @@ class TestServe:
     def test_malformed_tenant_spec_rejected(self, corpus_dir):
         with pytest.raises(SystemExit, match="NAME=TRAIN:DEV"):
             main(["serve", "--tenant", "acme", "--check"])
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--rate", "0", "rate"),
+        ("--rate", "-5", "rate"),
+        ("--burst", "0", "burst"),
+        ("--window", "0", "window"),
+        ("--trace-capacity", "0", "trace_capacity"),
+        ("--slow-ms", "-1", "slow_ms"),
+        ("--slo-availability", "1.5", "availability"),
+        ("--slo-latency-ms", "-1", "latency"),
+    ])
+    def test_bad_setting_rejected_before_training(self, corpus_dir, capsys,
+                                                  flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "serve",
+                "--train", str(corpus_dir / "train.json"),
+                "--dev", str(corpus_dir / "dev.json"),
+                "--consistency", "2",
+                flag, value,
+                "--check",
+            ])
+        # A message exit (status 1), not a traceback or a clean exit.
+        assert isinstance(exc.value.code, str)
+        assert message in exc.value.code
+        captured = capsys.readouterr()
+        assert "training" not in captured.out
+        assert "Traceback" not in captured.out + captured.err
