@@ -31,6 +31,7 @@ from repro.llm import (
     ResilientLLM,
     RetryPolicy,
 )
+from repro.obs import Observer
 
 SUBSET = 100
 LLM_SEED = 11
@@ -91,7 +92,9 @@ def resilient_purple(zoo, fault_policy, retry_policy, breaker=None):
 def run_cell(zoo, corpus, rate, retry_policy):
     policy = FaultPolicy.transient(rate, seed=FAULT_SEED)
     purple, llm = resilient_purple(zoo, policy, retry_policy)
-    report = evaluate_approach(purple, corpus.dev, limit=SUBSET)
+    report = evaluate_approach(
+        purple, corpus.dev, limit=SUBSET, observer=Observer()
+    )
     purple.executor.close()
     completion = sum(
         1 for o in report.outcomes if o.predicted_sql.upper().startswith("SELECT")
@@ -102,7 +105,7 @@ def run_cell(zoo, corpus, rate, retry_policy):
         "availability": report.availability,
         "completion": completion,
         "retries_per_query": report.retries_per_query(),
-        "breaker_openings": llm.breaker.openings,
+        "breaker_openings": report.telemetry.breaker_opens,
         "injected_faults": sum(llm.inner.injected.values()),
         "predictions": [o.predicted_sql for o in report.outcomes],
     }
@@ -187,23 +190,27 @@ def test_burst_outage_trips_breaker(benchmark, zoo, corpus, record):
         policy = FaultPolicy(
             burst_rate=0.03, burst_length=8, seed=FAULT_SEED
         )
-        purple, llm = resilient_purple(
+        purple, _ = resilient_purple(
             zoo,
             policy,
             RetryPolicy(max_attempts=2, base_delay=0.05, deadline=None),
             breaker=BreakerPolicy(failure_threshold=3, recovery_time=0.5),
         )
-        report = evaluate_approach(purple, corpus.dev, limit=SUBSET)
+        observer = Observer()
+        report = evaluate_approach(
+            purple, corpus.dev, limit=SUBSET, observer=observer
+        )
         purple.executor.close()
-        return report, llm
+        return report, observer.metrics.snapshot()
 
-    report, llm = benchmark.pedantic(run, rounds=1, iterations=1)
+    report, metrics = benchmark.pedantic(run, rounds=1, iterations=1)
+    openings = report.telemetry.breaker_opens
     print_table(
         "Burst outage — breaker behaviour",
         ["Avail%", "EM%", "Openings", "Transitions"],
         [(
             pct(report.availability), pct(report.em),
-            llm.breaker.openings, len(llm.breaker.transitions),
+            openings, metrics.counter_total("llm.breaker.transitions"),
         )],
     )
     record(
@@ -211,13 +218,15 @@ def test_burst_outage_trips_breaker(benchmark, zoo, corpus, record):
         {
             "availability": report.availability,
             "em": report.em,
-            "breaker_openings": llm.breaker.openings,
+            "breaker_openings": openings,
         },
     )
     assert len(report) == SUBSET
-    assert llm.breaker.openings >= 1
+    assert openings >= 1
     # The breaker recovered at least once rather than staying open.
-    assert ("open", "half_open") in llm.breaker.transitions
+    assert metrics.counter(
+        "llm.breaker.transitions", **{"from": "open", "to": "half_open"}
+    ) >= 1
     # Degradation kept every task executable even mid-outage.
     assert all(
         o.predicted_sql.upper().startswith("SELECT") for o in report.outcomes

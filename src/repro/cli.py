@@ -90,12 +90,13 @@ def _build_approach(name: str, llm, train: Dataset, budget: int,
 
 
 def _make_observer(args):
-    """The run observer implied by ``--trace-out`` / ``--log-level``."""
+    """The run observer implied by ``--trace-out`` / ``--log-level`` /
+    ``--cache-dir`` (the prompt-cache line reads the run's telemetry)."""
     from repro.api.runtime import make_observer
 
     return make_observer(
         log_level=args.log_level,
-        trace=args.trace_out is not None,
+        trace=args.trace_out is not None or args.cache_dir is not None,
         sink=render.stderr_sink,
     )
 
@@ -136,15 +137,14 @@ def _cmd_evaluate(args) -> int:
             f"throughput {perf['throughput_qps']} q/s  "
             f"p50 {perf['latency_p50_s']}s  p95 {perf['latency_p95_s']}s"
         )
-    if args.cache_dir is not None:
-        info = llm.stats()
-        render.out(
-            f"  prompt cache: {info.hits} hits / "
-            f"{info.hits + info.misses} lookups "
-            f"(hit rate {info.hit_rate:.1%})"
-        )
     if report.telemetry is not None:
         t = report.telemetry
+        if args.cache_dir is not None:
+            render.out(
+                f"  prompt cache: {t.cache_hits} hits / "
+                f"{t.cache_hits + t.cache_misses} lookups "
+                f"(hit rate {t.cache_hit_rate:.1%})"
+            )
         render.out(
             f"  telemetry: cache hit rate {t.cache_hit_rate:.1%}  "
             f"retries {t.llm_retries}  breaker opens {t.breaker_opens}  "

@@ -22,7 +22,6 @@ class PurpleConfig:
     tau_n: int = 5              # minimum columns kept per table
     use_pruning: bool = True
     use_steiner: bool = True    # False = RESDSQL-style top-k pruning
-    steiner_method: str = "burst"  # "approx" scales to large schemas
 
     # Skeleton prediction (§IV-B)
     top_k_skeletons: int = 3

@@ -97,7 +97,6 @@ class Purple:
             tau_p=cfg.tau_p,
             tau_n=cfg.tau_n,
             use_steiner=cfg.use_steiner,
-            steiner_method=cfg.steiner_method,
         )
         predictor = train_skeleton_predictor(
             demo_pool, epochs=cfg.skeleton_epochs, seed=cfg.seed,

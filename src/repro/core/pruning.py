@@ -27,7 +27,6 @@ class SchemaPruner:
     tau_p: float = 0.5
     tau_n: int = 5
     use_steiner: bool = True
-    steiner_method: str = "burst"  # "burst" (exact) | "approx" (scalable)
     topk_tables: int = 4    # RESDSQL-style fallback parameters
     topk_columns: int = 5
 
@@ -63,10 +62,7 @@ class SchemaPruner:
         terminals = {t for t, p in table_probs.items() if p > self.tau_p}
         if not terminals:
             terminals = {max(table_probs, key=lambda t: table_probs[t])}
-        if self.steiner_method == "approx":
-            kept = graph.steiner_tree_approx(terminals) or set(terminals)
-        else:
-            kept = graph.steiner_tree(terminals) or set(terminals)
+        kept = graph.steiner_tree(terminals) or set(terminals)
         # Redundant boundary (§IV-A2): the best sub-threshold table with an
         # edge into the kept subgraph is admitted for recall.
         below = sorted(

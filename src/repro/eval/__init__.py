@@ -19,14 +19,12 @@ from repro.eval.harness import (
 )
 from repro.eval.engine import map_ordered
 from repro.eval.reporting import (
-    diagnostics_summary,
     hardness_table,
     markdown_table,
     performance_summary,
     performance_table,
     save_csv,
     summary_rows,
-    telemetry_summary,
     to_csv,
 )
 from repro.eval.timing import RunTiming
@@ -53,14 +51,12 @@ __all__ = [
     "evaluate_approach",
     "map_ordered",
     "RunTiming",
-    "diagnostics_summary",
     "hardness_table",
     "markdown_table",
     "performance_summary",
     "performance_table",
     "save_csv",
     "summary_rows",
-    "telemetry_summary",
     "to_csv",
     "TestSuite",
     "build_test_suite",

@@ -8,7 +8,11 @@ verdicts.
 
 from __future__ import annotations
 
-from repro.schema.sqlite_backend import ExecutionResult, SQLiteExecutor
+from repro.schema.sqlite_backend import (
+    ExecutionResult,
+    SQLiteExecutor,
+    row_sort_key,
+)
 from repro.sqlkit.errors import SQLError
 from repro.sqlkit.parser import parse_sql
 
@@ -46,8 +50,7 @@ def execution_match(
     pred_result = executor.execute(db_key, predicted_sql)
     if not pred_result.ok:
         return False
-    ordered = _gold_is_ordered(gold_sql)
-    return results_equal(gold_result, pred_result, ordered=ordered)
+    return results_equal(gold_result, pred_result, ordered=is_ordered(gold_sql))
 
 
 def results_equal(
@@ -63,17 +66,15 @@ def results_equal(
         return False
     if ordered:
         return gold_rows == pred_rows
-    return sorted(gold_rows, key=_key) == sorted(pred_rows, key=_key)
+    return sorted(gold_rows, key=row_sort_key) == sorted(
+        pred_rows, key=row_sort_key
+    )
 
 
 def _normalize_row(row: tuple) -> tuple:
     return tuple(
         round(v, _FLOAT_DIGITS) if isinstance(v, float) else v for v in row
     )
-
-
-def _key(row: tuple):
-    return tuple((v is None, type(v).__name__, str(v)) for v in row)
 
 
 def shape_implies_rows(sql: str):
@@ -114,12 +115,13 @@ def shape_implies_rows(sql: str):
     return source.name
 
 
-def _gold_is_ordered(gold_sql: str) -> bool:
+def is_ordered(sql: str) -> bool:
+    """True when a top-level ORDER BY fixes the query's row order
+    (unparseable SQL counts as unordered)."""
     try:
-        query = parse_sql(gold_sql)
+        query = parse_sql(sql)
     except SQLError:
         return False
     # Only the final core's ORDER BY orders a compound query's output.
-    core = query.compounds[-1][1] if query.compounds else query.core
-    final = core.core if hasattr(core, "core") else core
+    final = query.compounds[-1][1] if query.compounds else query.core
     return bool(final.order_by)

@@ -48,29 +48,6 @@ def performance_summary(report: EvaluationReport) -> dict:
     }
 
 
-def telemetry_summary(report: EvaluationReport) -> dict:
-    """The report's telemetry roll-up as a JSON-ready dict.
-
-    Empty for unobserved runs — pass an ``observer`` to
-    :func:`~repro.eval.harness.evaluate_approach` to populate it.
-    """
-    if report.telemetry is None:
-        return {}
-    return report.telemetry.as_dict()
-
-
-def diagnostics_summary(report: EvaluationReport) -> dict:
-    """Static-analysis roll-up: per-rule counts.
-
-    Empty for unobserved runs, or observed runs where no diagnostic was
-    recorded (no diagnosis-directed repairs).
-    """
-    telemetry = report.telemetry
-    if telemetry is None or not telemetry.diagnostics:
-        return {}
-    return {"rules": dict(telemetry.diagnostics)}
-
-
 def performance_table(report: EvaluationReport) -> str:
     """Markdown rendering of :func:`performance_summary` (one run)."""
     summary = performance_summary(report)

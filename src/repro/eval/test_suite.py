@@ -27,7 +27,7 @@ from repro.sqlkit.ast_nodes import (
 from repro.sqlkit.errors import SQLError
 from repro.sqlkit.parser import parse_sql
 from repro.sqlkit.render import render_sql
-from repro.eval.execution import results_equal
+from repro.eval.execution import is_ordered, results_equal
 from repro.utils.rng import derive_rng
 
 
@@ -50,6 +50,7 @@ class TestSuite:
 
     def match(self, gold_sql: str, predicted_sql: str) -> bool:
         """TS accuracy: the prediction must match gold on every database."""
+        ordered = is_ordered(gold_sql)
         for key in self.keys():
             gold = self._executor.execute(key, gold_sql)
             if not gold.ok:
@@ -57,7 +58,6 @@ class TestSuite:
             pred = self._executor.execute(key, predicted_sql)
             if not pred.ok:
                 return False
-            ordered = _is_ordered(gold_sql)
             if not results_equal(gold, pred, ordered=ordered):
                 return False
         return True
@@ -246,12 +246,3 @@ def _score_candidates(database: Database, candidates: list, pairs: list) -> list
                     score += 1
             scores.append(score)
     return scores
-
-
-def _is_ordered(sql: str) -> bool:
-    try:
-        query = parse_sql(sql)
-    except SQLError:
-        return False
-    final = query.compounds[-1][1] if query.compounds else query.core
-    return bool(final.order_by)

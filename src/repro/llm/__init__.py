@@ -20,7 +20,7 @@ simulator* with the properties the paper's argument rests on:
 Profiles calibrate a ChatGPT-like and a GPT4-like model.
 """
 
-from repro.llm.cache import CacheStats, CachingLLM, PromptCache, request_key
+from repro.llm.cache import CachingLLM, PromptCache, request_key
 from repro.llm.degrade import LadderOutcome, best_effort_sql, run_ladder
 from repro.llm.errors import (
     CircuitOpenError,
@@ -39,10 +39,8 @@ from repro.llm.resilient import (
     BreakerPolicy,
     CircuitBreaker,
     FakeClock,
-    ResilienceStats,
     ResilientLLM,
     RetryPolicy,
-    RetryStats,
     SystemClock,
 )
 from repro.llm.profiles import CHATGPT, GPT4, LLMProfile, profile_by_name
@@ -74,13 +72,10 @@ __all__ = [
     "fault_schedule",
     "CachingLLM",
     "PromptCache",
-    "CacheStats",
     "request_key",
     "SimulatedLatencyLLM",
     "ResilientLLM",
     "RetryPolicy",
-    "RetryStats",
-    "ResilienceStats",
     "BreakerPolicy",
     "CircuitBreaker",
     "FakeClock",

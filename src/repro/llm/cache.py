@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -51,25 +50,6 @@ def request_key(request: LLMRequest, llm_name: str) -> str:
     )
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """A consistent snapshot of a cache's counters."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-    disk_hits: int = 0
-    size: int = 0
-    capacity: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before the first lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-
 class PromptCache:
     """Thread-safe LRU over completions, with an optional disk store.
 
@@ -85,37 +65,27 @@ class PromptCache:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._entries: OrderedDict[str, LLMResponse] = OrderedDict()
         self._lock = threading.RLock()
-        self._hits = 0
-        self._misses = 0
-        self._stores = 0
-        self._evictions = 0
-        self._disk_hits = 0
 
     def get(self, key: str) -> Optional[LLMResponse]:
         """The cached response for ``key``, or None on a full miss."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                self._hits += 1
                 self._entries.move_to_end(key)
                 obs.count("cache.hits")
                 return _copy_response(entry)
             entry = self._load_from_disk(key)
             if entry is not None:
-                self._hits += 1
-                self._disk_hits += 1
                 self._admit(key, entry)
                 obs.count("cache.hits")
                 obs.count("cache.disk_hits")
                 return _copy_response(entry)
-            self._misses += 1
             obs.count("cache.misses")
             return None
 
     def put(self, key: str, response: LLMResponse) -> None:
         """Store a completion under ``key`` (memory and, if set, disk)."""
         with self._lock:
-            self._stores += 1
             obs.count("cache.stores")
             self._admit(key, _copy_response(response))
             if self.cache_dir is not None:
@@ -129,19 +99,6 @@ class PromptCache:
                     )
                 )
 
-    def stats(self) -> CacheStats:
-        """A consistent snapshot of the counters."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                stores=self._stores,
-                evictions=self._evictions,
-                disk_hits=self._disk_hits,
-                size=len(self._entries),
-                capacity=self.capacity,
-            )
-
     def clear(self) -> None:
         """Drop the in-memory layer (the disk store is left intact)."""
         with self._lock:
@@ -152,7 +109,6 @@ class PromptCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self._evictions += 1
             obs.count("cache.evictions")
 
     def _entry_path(self, key: str) -> Path:
@@ -211,7 +167,3 @@ class CachingLLM:
         response = self.inner.complete(request)
         self.cache.put(key, response)
         return response
-
-    def stats(self) -> CacheStats:
-        """The underlying cache's counters."""
-        return self.cache.stats()

@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Protocol
 
 from repro.llm.errors import CircuitOpenError, LLMError, TruncatedCompletion
@@ -120,19 +120,15 @@ class CircuitBreaker:
         self.policy = policy
         self.clock = clock
         self.state = "closed"
-        self.transitions: list = []
-        self.openings = 0
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._probe_successes = 0
 
     def _transition(self, state: str) -> None:
-        self.transitions.append((self.state, state))
         obs.count(
             "llm.breaker.transitions", **{"from": self.state, "to": state}
         )
         if state == "open":
-            self.openings += 1
             self._opened_at = self.clock.monotonic()
             obs.count("llm.breaker.opens")
             obs.event(
@@ -179,32 +175,6 @@ class CircuitBreaker:
 
 
 @dataclass
-class RetryStats:
-    """What one ``complete`` call went through."""
-
-    attempts: int = 0
-    retries: int = 0
-    waits: list = field(default_factory=list)
-    breaker_transitions: list = field(default_factory=list)
-    fallback_used: bool = False
-    deadline_exhausted: bool = False
-    #: "ok" | "fallback" | "truncated" | "error"
-    outcome: str = ""
-
-
-@dataclass
-class ResilienceStats:
-    """Cumulative counters across a wrapper's lifetime."""
-
-    requests: int = 0
-    attempts: int = 0
-    retries: int = 0
-    total_wait: float = 0.0
-    failures: int = 0
-    fallback_successes: int = 0
-
-
-@dataclass
 class RetryTally:
     """Retries counted by one :func:`count_retries` block."""
 
@@ -221,8 +191,8 @@ def count_retries() -> Iterator[RetryTally]:
     """Count the retries :class:`ResilientLLM` makes on this context
     inside the block (the innermost open block counts them).
 
-    ``ResilienceStats.retries`` is shared by every thread calling one
-    wrapper; the tally is context-local, so with parallel workers each
+    The observer's ``llm.retries`` counter sums the retries of every
+    task in a run; the tally is context-local, so with parallel workers each
     task is charged only the retries of its own calls.
     """
     tally = RetryTally()
@@ -252,15 +222,10 @@ class ResilientLLM:
         self.fallback = fallback
         self.seed = seed
         self.name = inner.name
-        self.stats = ResilienceStats()
-        self.last_stats: Optional[RetryStats] = None
         self._request_index = 0
 
     def complete(self, request: LLMRequest) -> LLMResponse:
         """Complete with retries, breaker gating, and the fallback ladder."""
-        stats = RetryStats()
-        self.last_stats = stats
-        self.stats.requests += 1
         rng = derive_rng(self.seed, "backoff", self._request_index)
         self._request_index += 1
         started = self.clock.monotonic()
@@ -269,88 +234,69 @@ class ResilientLLM:
             if self.retry.deadline is not None
             else None
         )
-        transitions_before = len(self.breaker.transitions)
         last_error: LLMError = CircuitOpenError("circuit breaker is open")
-        try:
-            while stats.attempts < self.retry.max_attempts:
-                if not self.breaker.allow():
-                    break
-                stats.attempts += 1
-                self.stats.attempts += 1
-                obs.count("llm.attempts")
-                failure: Optional[LLMError] = None
-                with obs.span("llm.attempt", attempt=stats.attempts):
-                    try:
-                        response = self.inner.complete(request)
-                    except TruncatedCompletion:
-                        # Same-size retries cannot help; hand straight to
-                        # the degradation ladder.  Not a provider outage
-                        # either, so the breaker does not count it.
-                        obs.annotate(outcome="truncated")
-                        stats.outcome = "truncated"
-                        self.stats.failures += 1
-                        raise
-                    except LLMError as exc:
-                        obs.annotate(outcome=type(exc).__name__)
-                        failure = exc
-                    else:
-                        obs.annotate(outcome="ok")
-                if failure is None:
-                    self.breaker.record_success()
-                    stats.outcome = "ok"
-                    return response
-                # The attempt span is closed: backoff waits belong to no
-                # attempt.
-                self.breaker.record_failure()
-                last_error = failure
-                if not failure.retryable:
-                    break
-                if stats.attempts >= self.retry.max_attempts:
-                    break
-                delay = self._next_delay(stats.attempts, failure, rng)
-                if deadline is not None and (
-                    self.clock.monotonic() + delay > deadline
-                ):
-                    stats.deadline_exhausted = True
-                    break
-                self.clock.sleep(delay)
-                stats.waits.append(delay)
-                stats.retries += 1
-                self.stats.retries += 1
-                self.stats.total_wait += delay
-                tally = _TALLY.get()
-                if tally is not None:
-                    tally.retries += 1
-                obs.count("llm.retries")
-                obs.observe("llm.backoff_wait_s", delay)
-                obs.event(
-                    "llm.retry",
-                    attempt=stats.attempts,
-                    error=type(failure).__name__,
-                    wait_s=round(delay, 4),
-                )
-            if self.fallback is not None:
+        attempts = 0
+        while attempts < self.retry.max_attempts:
+            if not self.breaker.allow():
+                break
+            attempts += 1
+            obs.count("llm.attempts")
+            failure: Optional[LLMError] = None
+            with obs.span("llm.attempt", attempt=attempts):
                 try:
-                    response = self.fallback.complete(request)
+                    response = self.inner.complete(request)
+                except TruncatedCompletion:
+                    # Same-size retries cannot help; hand straight to the
+                    # degradation ladder.  Not a provider outage either,
+                    # so the breaker does not count it.
+                    obs.annotate(outcome="truncated")
+                    raise
                 except LLMError as exc:
-                    last_error = exc
+                    obs.annotate(outcome=type(exc).__name__)
+                    failure = exc
                 else:
-                    stats.fallback_used = True
-                    stats.outcome = "fallback"
-                    self.stats.fallback_successes += 1
-                    obs.count("llm.fallbacks")
-                    obs.event("llm.fallback", provider=self.fallback.name)
-                    return response
-            stats.outcome = "error"
-            self.stats.failures += 1
+                    obs.annotate(outcome="ok")
+            if failure is None:
+                self.breaker.record_success()
+                return response
+            # The attempt span is closed: backoff waits belong to no
+            # attempt.
+            self.breaker.record_failure()
+            last_error = failure
+            if not failure.retryable:
+                break
+            if attempts >= self.retry.max_attempts:
+                break
+            delay = self._next_delay(attempts, failure, rng)
+            if deadline is not None and (
+                self.clock.monotonic() + delay > deadline
+            ):
+                break
+            self.clock.sleep(delay)
+            tally = _TALLY.get()
+            if tally is not None:
+                tally.retries += 1
+            obs.count("llm.retries")
+            obs.observe("llm.backoff_wait_s", delay)
             obs.event(
-                "llm.error", level="error", error=type(last_error).__name__
+                "llm.retry",
+                attempt=attempts,
+                error=type(failure).__name__,
+                wait_s=round(delay, 4),
             )
-            raise last_error
-        finally:
-            stats.breaker_transitions = self.breaker.transitions[
-                transitions_before:
-            ]
+        if self.fallback is not None:
+            try:
+                response = self.fallback.complete(request)
+            except LLMError as exc:
+                last_error = exc
+            else:
+                obs.count("llm.fallbacks")
+                obs.event("llm.fallback", provider=self.fallback.name)
+                return response
+        obs.event(
+            "llm.error", level="error", error=type(last_error).__name__
+        )
+        raise last_error
 
     def _next_delay(self, attempt: int, error: LLMError, rng) -> float:
         cap = self.retry.backoff_cap(attempt)

@@ -9,7 +9,6 @@ from repro.schema.graph import SchemaGraph
 from repro.schema.model import Column, Database, ForeignKey, Schema, Table
 from repro.schema.sqlite_backend import (
     ExecutionResult,
-    ExecutorStats,
     SQLiteExecutor,
     create_sqlite,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "SchemaGraph",
     "ErrorInfo",
     "ExecutionResult",
-    "ExecutorStats",
     "SQLiteExecutor",
     "create_sqlite",
     "exception_text",

@@ -107,34 +107,6 @@ class SchemaGraph:
 
     _BURST_LIMIT = 12
 
-    def steiner_tree_approx(self, terminals: Iterable[str]) -> set[str]:
-        """2-approximate Steiner tree for large schemas.
-
-        §IV-A2 leaves "incorporating new algorithms for the larger
-        database" as future work; this is that upgrade — the classic
-        metric-closure approximation (networkx's implementation), O(E log V)
-        instead of the burst search's exponential worst case.
-        """
-        terms = {normalize_identifier(t) for t in terminals}
-        terms = {t for t in terms if self.graph.has_node(t)}
-        if not terms:
-            return set()
-        if len(terms) == 1:
-            return set(terms)
-        from networkx.algorithms.approximation import steiner_tree
-
-        nodes: set[str] = set()
-        for component in nx.connected_components(self.graph):
-            local = terms & component
-            if not local:
-                continue
-            if len(local) == 1:
-                nodes |= local
-                continue
-            tree = steiner_tree(self.graph.subgraph(component), list(local))
-            nodes |= set(tree.nodes)
-        return nodes or set(terms)
-
     def _connected(self, nodes: set[str]) -> bool:
         """True if ``nodes`` induce a connected subgraph (singletons are
         connected; disconnected terminals can never be)."""

@@ -56,10 +56,11 @@ class ExecutionResult:
     def sorted_rows(self) -> list[tuple]:
         """Rows under a deterministic total order (for unordered compare)."""
         assert self.rows is not None
-        return sorted(self.rows, key=_row_sort_key)
+        return sorted(self.rows, key=row_sort_key)
 
 
-def _row_sort_key(row: tuple):
+def row_sort_key(row: tuple):
+    """A total order over rows whose values mix types and NULLs."""
     return tuple(
         (value is None, str(type(value).__name__), str(value)) for value in row
     )
@@ -92,30 +93,6 @@ def create_sqlite(database: Database, path: str = ":memory:") -> sqlite3.Connect
     return conn
 
 
-@dataclass(frozen=True)
-class ExecutorStats:
-    """A consistent snapshot of an executor's counters.
-
-    ``executed`` counts statements that actually ran against SQLite
-    (cache misses); ``timeouts`` counts statement-timeout interrupts
-    among them.
-    """
-
-    executed: int = 0
-    timeouts: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_size: int = 0
-    cache_capacity: int = 0
-    databases: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Hits over lookups (0.0 before the first lookup)."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
-
 class SQLiteExecutor:
     """Executes SQL against materialized databases with connection caching.
 
@@ -128,8 +105,10 @@ class SQLiteExecutor:
     creation, statement execution, and LRU cache mutation, so one
     executor can back concurrently-translating workers (the parallel
     harness additionally gives each worker its own instance to avoid
-    serializing the scoring hot path).  Counters are read consistently
-    through :meth:`stats`.
+    serializing the scoring hot path).  Execution and cache counts go to
+    the active observer's registry (``executor.*``).  ``cache_hits`` also
+    stays on the instance: ``perfbench/tracing.py`` reads it around each
+    call to tell a cached statement from an executed one.
     """
 
     #: VM instructions between progress-handler timeout checks.
@@ -148,9 +127,6 @@ class SQLiteExecutor:
         self._cache: OrderedDict[tuple[str, str], ExecutionResult] = OrderedDict()
         self._lock = threading.RLock()
         self.cache_hits = 0
-        self.cache_misses = 0
-        self.executed = 0
-        self.timeouts = 0
 
     def register(self, database: Database, key: Optional[str] = None) -> str:
         """Materialize a database and return its registry key."""
@@ -175,8 +151,6 @@ class SQLiteExecutor:
                 self._cache.move_to_end(cache_key)
                 obs.count("executor.cache_hits")
                 return cached
-            self.cache_misses += 1
-            self.executed += 1
             obs.count("executor.cache_misses")
             obs.count("executor.statements")
             conn = self._connections.get(key)
@@ -187,7 +161,6 @@ class SQLiteExecutor:
                 with obs.span("sql.execute", db=key):
                     result = self._run(conn, sql)
             if result.timed_out:
-                self.timeouts += 1
                 obs.count("executor.timeouts")
                 obs.event(
                     "executor.timeout",
@@ -199,19 +172,6 @@ class SQLiteExecutor:
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
             return result
-
-    def stats(self) -> ExecutorStats:
-        """A consistent snapshot of execution and cache counters."""
-        with self._lock:
-            return ExecutorStats(
-                executed=self.executed,
-                timeouts=self.timeouts,
-                cache_hits=self.cache_hits,
-                cache_misses=self.cache_misses,
-                cache_size=len(self._cache),
-                cache_capacity=self.cache_size,
-                databases=len(self._connections),
-            )
 
     def _run(self, conn: sqlite3.Connection, sql: str) -> ExecutionResult:
         deadline = None

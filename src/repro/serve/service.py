@@ -156,15 +156,17 @@ class NL2SQLService:
                         )
             latency = time.perf_counter() - started
         if self.observer is not None:
+            # An unknown tenant is labelled "" (wire tenants are
+            # non-empty), so bad ids cannot add registry keys.
+            label = request.tenant if tenant is not None else ""
             metrics = self.observer.metrics
-            metrics.count("serve.requests", endpoint=endpoint,
-                          tenant=request.tenant)
+            metrics.count("serve.requests", endpoint=endpoint, tenant=label)
             if status >= 400:
                 metrics.count("serve.errors", endpoint=endpoint,
                               status=status)
             metrics.observe(
                 "serve.latency_ms", latency * 1000.0, endpoint=endpoint,
-                tenant=request.tenant,
+                tenant=label,
             )
         if self.live is not None:
             # Unresolvable tenants must not grow per-tenant state.

@@ -67,15 +67,15 @@ class TestParallelDeterminism:
     def test_warm_cache_run_matches_cold(self, train_set, dev_set):
         llm = CachingLLM(MockLLM(CHATGPT, seed=2), cache=PromptCache())
         approach = purple(train_set, llm)
-        cold = evaluate_approach(approach, dev_set, limit=LIMIT, workers=1)
-        cold_stats = llm.stats()
-        warm = evaluate_approach(approach, dev_set, limit=LIMIT, workers=4)
-        warm_stats = llm.stats()
-        # The cache is shared, so the warm run's counters are a delta.
-        hits = warm_stats.hits - cold_stats.hits
-        lookups = hits + warm_stats.misses - cold_stats.misses
-        assert cold_stats.misses > 0
-        assert hits / lookups >= 0.9
+        cold = evaluate_approach(
+            approach, dev_set, limit=LIMIT, workers=1, observer=Observer()
+        )
+        # The cache is shared; each run's observer counts its own lookups.
+        warm = evaluate_approach(
+            approach, dev_set, limit=LIMIT, workers=4, observer=Observer()
+        )
+        assert cold.telemetry.cache_misses > 0
+        assert warm.telemetry.cache_hit_rate >= 0.9
         assert warm.outcomes == cold.outcomes
 
     def test_timing_reflects_worker_count(self, train_set, dev_set):
@@ -116,9 +116,9 @@ class TestParallelDeterminism:
             LockstepLLM(MockLLM(CHATGPT, seed=2)), clock=FakeClock()
         )
         report = evaluate_approach(
-            ZeroShotSQL(llm), dev_set, limit=2, workers=2
+            ZeroShotSQL(llm), dev_set, limit=2, workers=2, observer=Observer()
         )
-        assert llm.stats.retries == 2
+        assert report.telemetry.llm_retries == 2
         assert [o.retries for o in report.outcomes] == [1, 1]
         assert all(o.answered for o in report.outcomes)
 

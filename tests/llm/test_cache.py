@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro.llm import (
-    CacheStats,
     CachingLLM,
     LLMRequest,
     LLMResponse,
@@ -13,6 +12,14 @@ from repro.llm import (
     request_key,
 )
 from repro.llm.errors import ServerError
+from repro.obs import Observer
+from tests.observed import observed
+
+
+def cache_counts(metrics) -> dict:
+    """The ``cache.*`` counters of a snapshot, keyed by short name."""
+    names = ("hits", "misses", "stores", "evictions", "disk_hits")
+    return {name: metrics.counter(f"cache.{name}") for name in names}
 
 
 class CountingLLM:
@@ -58,21 +65,31 @@ class TestRequestKey:
 class TestPromptCache:
     def test_miss_then_hit(self):
         cache = PromptCache()
-        assert cache.get("k") is None
-        cache.put("k", LLMResponse(texts=["a"], prompt_tokens=1))
-        got = cache.get("k")
+
+        def miss_store_hit():
+            assert cache.get("k") is None
+            cache.put("k", LLMResponse(texts=["a"], prompt_tokens=1))
+            return cache.get("k")
+
+        got, metrics = observed(miss_store_hit)
         assert got.texts == ["a"]
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
+        assert cache_counts(metrics) == {
+            "hits": 1, "misses": 1, "stores": 1, "evictions": 0,
+            "disk_hits": 0,
+        }
 
     def test_lru_eviction(self):
         cache = PromptCache(capacity=2)
-        for key in ("a", "b", "c"):
-            cache.put(key, LLMResponse(texts=[key]))
+
+        def fill():
+            for key in ("a", "b", "c"):
+                cache.put(key, LLMResponse(texts=[key]))
+
+        _, metrics = observed(fill)
+        assert metrics.counter("cache.evictions") == 1
         assert cache.get("a") is None  # oldest evicted
+        assert cache.get("b").texts == ["b"]
         assert cache.get("c").texts == ["c"]
-        assert cache.stats().evictions == 1
-        assert cache.stats().size == 2
 
     def test_hit_refreshes_recency(self):
         cache = PromptCache(capacity=2)
@@ -94,14 +111,15 @@ class TestPromptCache:
         first.put("k", LLMResponse(texts=["a", "b"], prompt_tokens=7,
                                    output_tokens=2))
         second = PromptCache(cache_dir=tmp_path)
-        got = second.get("k")
+        got, metrics = observed(lambda: second.get("k"))
         assert got.texts == ["a", "b"]
         assert (got.prompt_tokens, got.output_tokens) == (7, 2)
-        stats = second.stats()
-        assert stats.disk_hits == 1 and stats.hits == 1
+        assert metrics.counter("cache.disk_hits") == 1
+        assert metrics.counter("cache.hits") == 1
         # Promoted into memory: the next lookup skips the disk layer.
-        second.get("k")
-        assert second.stats().disk_hits == 1
+        _, metrics = observed(lambda: second.get("k"))
+        assert metrics.counter("cache.disk_hits") == 0
+        assert metrics.counter("cache.hits") == 1
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = PromptCache(cache_dir=tmp_path)
@@ -109,8 +127,16 @@ class TestPromptCache:
         assert cache.get("bad") is None
 
     def test_hit_rate(self):
-        assert CacheStats().hit_rate == 0.0
-        assert CacheStats(hits=9, misses=1).hit_rate == 0.9
+        """The cache's counts feed the run telemetry's hit rate."""
+        assert Observer().telemetry().cache_hit_rate == 0.0
+        cache = PromptCache()
+        observer = Observer()
+        with observer.activate():
+            assert cache.get("k") is None
+            cache.put("k", LLMResponse(texts=["a"]))
+            for _ in range(9):
+                cache.get("k")
+        assert observer.telemetry().cache_hit_rate == 0.9
 
     def test_thread_safety_smoke(self):
         cache = PromptCache(capacity=8)
@@ -126,7 +152,7 @@ class TestPromptCache:
             t.start()
         for t in threads:
             t.join()
-        assert cache.stats().size <= 8
+        assert len(cache._entries) <= 8
 
 
 class TestCachingLLM:
@@ -135,10 +161,12 @@ class TestCachingLLM:
         llm = CachingLLM(inner)
         request = LLMRequest(prompt="q", n=2)
         first = llm.complete(request)
-        second = llm.complete(LLMRequest(prompt="q", n=2))
+        second, metrics = observed(
+            lambda: llm.complete(LLMRequest(prompt="q", n=2))
+        )
         assert inner.calls == 1
         assert first.texts == second.texts
-        assert llm.stats().hits == 1
+        assert metrics.counter("cache.hits") == 1
 
     def test_name_mirrors_inner(self):
         assert CachingLLM(CountingLLM()).name == "counting"
@@ -146,11 +174,16 @@ class TestCachingLLM:
     def test_errors_propagate_uncached(self):
         inner = CountingLLM(fail=True)
         llm = CachingLLM(inner)
-        for _ in range(2):
-            with pytest.raises(ServerError):
-                llm.complete(LLMRequest(prompt="q"))
+
+        def fail_twice():
+            for _ in range(2):
+                with pytest.raises(ServerError):
+                    llm.complete(LLMRequest(prompt="q"))
+
+        _, metrics = observed(fail_twice)
         assert inner.calls == 2  # a failure is never served from cache
-        assert llm.stats().stores == 0
+        assert metrics.counter("cache.stores") == 0
+        assert metrics.counter("cache.misses") == 2
 
     def test_warm_rerun_from_disk(self, tmp_path):
         request = LLMRequest(prompt="q", n=3)
@@ -160,7 +193,10 @@ class TestCachingLLM:
         )
         warm_inner = CountingLLM()
         warm = CachingLLM(warm_inner, cache=PromptCache(cache_dir=tmp_path))
-        response = warm.complete(request)
+        response, metrics = observed(lambda: warm.complete(request))
         assert warm_inner.calls == 0
         assert response.texts == ["SELECT q"] * 3
-        assert warm.stats().hit_rate == 1.0
+        assert cache_counts(metrics) == {
+            "hits": 1, "misses": 0, "stores": 0, "evictions": 0,
+            "disk_hits": 1,
+        }

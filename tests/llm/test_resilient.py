@@ -5,6 +5,8 @@ backoff sequence is reproduced exactly from the same derived RNG stream
 the wrapper uses.
 """
 
+from collections.abc import Collection
+
 import pytest
 
 from repro.llm import (
@@ -24,6 +26,7 @@ from repro.llm import (
 from repro.llm.degrade import run_ladder
 from repro.obs import Observer
 from repro.utils.rng import derive_rng
+from tests.observed import observed
 
 
 class FlakyLLM:
@@ -127,46 +130,50 @@ class TestRetryOutcomes:
         inner = FlakyLLM()
         clock = FakeClock()
         llm = ResilientLLM(inner, clock=clock)
-        response = llm.complete(request())
+        response, metrics = observed(lambda: llm.complete(request()))
         assert response.text == "SELECT 1"
         assert inner.calls == 1
         assert clock.sleeps == []
-        assert llm.last_stats.outcome == "ok"
-        assert llm.last_stats.retries == 0
+        assert metrics.counter("llm.attempts") == 1
+        assert metrics.counter("llm.retries") == 0
 
     def test_recovers_after_transient_errors(self):
         inner = FlakyLLM([ServerError(), RateLimitError()])
         llm = ResilientLLM(inner, clock=FakeClock())
-        response = llm.complete(request())
+        response, metrics = observed(lambda: llm.complete(request()))
         assert response.text == "SELECT 1"
         assert inner.calls == 3
-        assert llm.last_stats.attempts == 3
-        assert llm.last_stats.retries == 2
-        assert llm.stats.retries == 2
-        assert llm.stats.requests == 1
+        assert metrics.counter("llm.attempts") == 3
+        assert metrics.counter("llm.retries") == 2
 
     def test_deadline_stops_retrying(self):
         clock = FakeClock()
         retry = RetryPolicy(
             max_attempts=10, base_delay=10.0, jitter="none", deadline=5.0
         )
-        llm = ResilientLLM(
-            FlakyLLM([ServerError()] * 20), retry=retry, clock=clock
-        )
+        inner = FlakyLLM([ServerError()] * 20)
+        llm = ResilientLLM(inner, retry=retry, clock=clock)
         with pytest.raises(ServerError):
             llm.complete(request())
-        assert llm.last_stats.deadline_exhausted
-        assert clock.sleeps == []  # first backoff (10s) already over budget
+        # The first backoff (10 s) is already over budget: one attempt,
+        # no wait, although nine more attempts were allowed.
+        assert inner.calls == 1
+        assert clock.sleeps == []
 
     def test_truncation_reraised_immediately(self):
         clock = FakeClock()
         inner = FlakyLLM([TruncatedCompletion(partial_text="SEL")])
         llm = ResilientLLM(inner, clock=clock)
-        with pytest.raises(TruncatedCompletion):
-            llm.complete(request())
+
+        def call():
+            with pytest.raises(TruncatedCompletion):
+                llm.complete(request())
+
+        _, metrics = observed(call)
         assert inner.calls == 1
         assert clock.sleeps == []
-        assert llm.last_stats.outcome == "truncated"
+        assert metrics.counter("llm.attempts") == 1
+        assert metrics.counter("llm.retries") == 0
         # Not a provider outage: the breaker stays untouched.
         assert llm.breaker.state == "closed"
 
@@ -179,12 +186,11 @@ class TestRetryOutcomes:
             fallback=fallback,
             clock=FakeClock(),
         )
-        response = llm.complete(request())
+        response, metrics = observed(lambda: llm.complete(request()))
         assert response.text == "SELECT 1"
+        assert primary.calls == 2
         assert fallback.calls == 1
-        assert llm.last_stats.fallback_used
-        assert llm.last_stats.outcome == "fallback"
-        assert llm.stats.fallback_successes == 1
+        assert metrics.counter("llm.fallbacks") == 1
 
 
 class TestAttemptSpans:
@@ -240,35 +246,46 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(
             BreakerPolicy(failure_threshold=2, recovery_time=30.0), clock
         )
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        clock.sleep(30.0)
-        assert breaker.allow()
-        assert breaker.state == "half_open"
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.transitions == [
-            ("closed", "open"),
-            ("open", "half_open"),
-            ("half_open", "closed"),
-        ]
-        assert breaker.openings == 1
+
+        def cycle():
+            assert breaker.state == "closed"
+            breaker.record_failure()
+            assert breaker.state == "closed"
+            breaker.record_failure()
+            assert breaker.state == "open"
+            assert not breaker.allow()
+            clock.sleep(30.0)
+            assert breaker.allow()
+            assert breaker.state == "half_open"
+            breaker.record_success()
+            assert breaker.state == "closed"
+
+        _, metrics = observed(cycle)
+        assert metrics.counters == {
+            "llm.breaker.opens": 1,
+            "llm.breaker.transitions{from=closed,to=open}": 1,
+            "llm.breaker.transitions{from=open,to=half_open}": 1,
+            "llm.breaker.transitions{from=half_open,to=closed}": 1,
+        }
 
     def test_half_open_failure_reopens(self):
         clock = FakeClock()
         breaker = CircuitBreaker(
             BreakerPolicy(failure_threshold=1, recovery_time=10.0), clock
         )
-        breaker.record_failure()
-        clock.sleep(10.0)
-        assert breaker.allow()
-        breaker.record_failure()
+
+        def reopen():
+            breaker.record_failure()
+            clock.sleep(10.0)
+            assert breaker.allow()
+            breaker.record_failure()
+
+        _, metrics = observed(reopen)
         assert breaker.state == "open"
-        assert breaker.openings == 2
+        assert metrics.counter("llm.breaker.opens") == 2
+        assert metrics.counter(
+            "llm.breaker.transitions", **{"from": "half_open", "to": "open"}
+        ) == 1
 
     def test_success_resets_failure_streak(self):
         breaker = CircuitBreaker(
@@ -310,13 +327,17 @@ class TestCircuitBreaker:
             with pytest.raises(ServerError):
                 llm.complete(request())
         clock.sleep(30.0)
-        response = llm.complete(request())  # half-open probe succeeds
+        # The half-open probe succeeds.
+        response, metrics = observed(lambda: llm.complete(request()))
         assert response.text == "SELECT 1"
         assert llm.breaker.state == "closed"
-        assert llm.last_stats.breaker_transitions == [
-            ("open", "half_open"),
-            ("half_open", "closed"),
-        ]
+        assert metrics.counter_total("llm.breaker.transitions") == 2
+        assert metrics.counter(
+            "llm.breaker.transitions", **{"from": "open", "to": "half_open"}
+        ) == 1
+        assert metrics.counter(
+            "llm.breaker.transitions", **{"from": "half_open", "to": "closed"}
+        ) == 1
 
     def test_open_breaker_falls_back(self):
         clock = FakeClock()
@@ -331,7 +352,57 @@ class TestCircuitBreaker:
         first = llm.complete(request())  # primary fails, fallback answers
         assert first.text == "SELECT 1"
         assert llm.breaker.state == "open"
-        second = llm.complete(request())  # breaker open: straight to fallback
+        # Breaker open: straight to the fallback.
+        second, metrics = observed(lambda: llm.complete(request()))
         assert second.text == "SELECT 1"
-        assert llm.last_stats.fallback_used
+        assert metrics.counter("llm.fallbacks") == 1
+        assert metrics.counter("llm.attempts") == 0
         assert primary.calls == 1
+
+    def test_long_run_keeps_no_growing_state(self):
+        """1,000 open → half-open → closed cycles through one wrapper:
+        the registry counts every transition, and no attribute of the
+        wrapper or its breaker holds a container that grew."""
+
+        class AlternatingLLM:
+            """Fails every odd call, answers every even one."""
+
+            name = "alternating"
+            calls = 0
+
+            def complete(self, request):
+                self.calls += 1
+                if self.calls % 2:
+                    raise ServerError()
+                return LLMResponse(texts=["SELECT 1"])
+
+        clock = FakeClock()
+        llm = ResilientLLM(
+            AlternatingLLM(),
+            retry=RetryPolicy(max_attempts=1, deadline=None),
+            breaker=BreakerPolicy(failure_threshold=1, recovery_time=30.0),
+            clock=clock,
+        )
+
+        def sizes():
+            return {
+                (type(owner).__name__, name): len(value)
+                for owner in (llm, llm.breaker)
+                for name, value in vars(owner).items()
+                if isinstance(value, Collection)
+                and not isinstance(value, str)
+            }
+
+        def cycles():
+            for _ in range(1000):
+                with pytest.raises(ServerError):
+                    llm.complete(request())  # closed → open
+                clock.now += 30.0
+                llm.complete(request())  # open → half-open → closed
+
+        before = sizes()
+        _, metrics = observed(cycles)
+        assert sizes() == before
+        assert llm.breaker.state == "closed"
+        assert metrics.counter("llm.breaker.opens") == 1000
+        assert metrics.counter_total("llm.breaker.transitions") == 3000

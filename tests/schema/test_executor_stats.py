@@ -1,17 +1,18 @@
-"""The executor's typed stats() snapshot and multi-thread safety."""
+"""The executor's counts in the metrics registry, and multi-thread safety."""
 
 import threading
 
 import pytest
 
+from repro.obs import Observer
 from repro.schema import (
     Column,
     Database,
-    ExecutorStats,
     Schema,
     SQLiteExecutor,
     Table,
 )
+from tests.observed import observed
 
 
 @pytest.fixture
@@ -29,58 +30,58 @@ def db():
     return Database(schema=schema, rows={"t": [(1, "a"), (2, "b")]})
 
 
+def executor_counts(metrics) -> dict:
+    """The ``executor.*`` counters of a snapshot, keyed by short name."""
+    names = ("statements", "cache_hits", "cache_misses", "timeouts")
+    return {name: metrics.counter(f"executor.{name}") for name in names}
+
+
 class TestExecutorStats:
     def test_snapshot_counts(self, db):
         with SQLiteExecutor(cache_size=16) as executor:
             executor.register(db)
-            executor.execute("tiny", "SELECT * FROM t")
-            executor.execute("tiny", "SELECT * FROM t")  # cached
-            executor.execute("tiny", "SELECT id FROM t")
-            stats = executor.stats()
-            assert isinstance(stats, ExecutorStats)
-            assert stats.executed == 2  # two distinct statements ran
-            assert stats.cache_hits == 1
-            assert stats.cache_misses == 2
-            assert stats.cache_size == 2
-            assert stats.cache_capacity == 16
-            assert stats.databases == 1
-            assert stats.timeouts == 0
 
-    def test_hit_rate(self):
-        assert ExecutorStats().cache_hit_rate == 0.0
-        assert ExecutorStats(cache_hits=3, cache_misses=1).cache_hit_rate == 0.75
+            def run():
+                executor.execute("tiny", "SELECT * FROM t")
+                executor.execute("tiny", "SELECT * FROM t")  # cached
+                executor.execute("tiny", "SELECT id FROM t")
 
-    def test_stats_is_immutable(self, db):
-        with SQLiteExecutor() as executor:
-            executor.register(db)
-            stats = executor.stats()
-            with pytest.raises(AttributeError):
-                stats.executed = 99
+            _, metrics = observed(run)
+            assert executor_counts(metrics) == {
+                "statements": 2,  # two distinct statements ran
+                "cache_hits": 1,
+                "cache_misses": 2,
+                "timeouts": 0,
+            }
+            assert executor.cache_hits == 1
 
     def test_concurrent_execution(self, db):
         """Many threads on one executor: no races, coherent counters."""
         with SQLiteExecutor(cache_size=64) as executor:
             executor.register(db)
+            observer = Observer()
             errors = []
 
-            def work(tag):
+            def work():
                 try:
-                    for i in range(50):
-                        result = executor.execute(
-                            "tiny", f"SELECT v FROM t WHERE id = {i % 3}"
-                        )
-                        assert result.ok
+                    with observer.activate():
+                        for i in range(50):
+                            result = executor.execute(
+                                "tiny", f"SELECT v FROM t WHERE id = {i % 3}"
+                            )
+                            assert result.ok
                 except Exception as exc:  # noqa: broad-except - collected
                     errors.append(exc)
 
-            threads = [
-                threading.Thread(target=work, args=(t,)) for t in range(4)
-            ]
+            threads = [threading.Thread(target=work) for _ in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
             assert not errors
-            stats = executor.stats()
-            assert stats.cache_hits + stats.cache_misses == 200
-            assert stats.executed == stats.cache_misses
+            counts = executor_counts(observer.metrics.snapshot())
+            assert counts["cache_hits"] + counts["cache_misses"] == 200
+            # Three distinct statements: each runs exactly once.
+            assert counts["statements"] == counts["cache_misses"] == 3
+            assert executor.cache_hits == counts["cache_hits"]

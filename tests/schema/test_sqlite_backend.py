@@ -11,6 +11,7 @@ from repro.schema import (
     Table,
     create_sqlite,
 )
+from tests.observed import observed
 
 
 @pytest.fixture
@@ -167,32 +168,44 @@ class TestResultCacheLRU:
     def test_capacity_bounds_cache(self, db):
         with SQLiteExecutor(cache_size=2) as ex:
             key = ex.register(db)
-            for i in range(1, 4):
-                ex.execute(key, f"SELECT {i}")
-            stats = ex.stats()
-            assert stats.cache_size == 2
-            assert stats.cache_capacity == 2
-            assert stats.cache_misses == 3
-            assert stats.cache_hits == 0
+
+            def run():
+                for i in range(1, 4):
+                    ex.execute(key, f"SELECT {i}")
+
+            _, metrics = observed(run)
+            assert len(ex._cache) == 2
+            assert metrics.counter("executor.cache_misses") == 3
+            assert metrics.counter("executor.cache_hits") == 0
 
     def test_hit_and_miss_counters(self, db):
         with SQLiteExecutor() as ex:
             key = ex.register(db)
-            ex.execute(key, "SELECT 1")
-            ex.execute(key, "SELECT 1")
-            ex.execute(key, "SELECT 2")
-            stats = ex.stats()
-        assert stats.cache_hits == 1
-        assert stats.cache_misses == 2
+
+            def run():
+                ex.execute(key, "SELECT 1")
+                ex.execute(key, "SELECT 1")
+                ex.execute(key, "SELECT 2")
+
+            _, metrics = observed(run)
+        assert metrics.counter("executor.cache_hits") == 1
+        assert metrics.counter("executor.cache_misses") == 2
+        assert ex.cache_hits == 1
 
     def test_eviction_is_least_recently_used(self, db):
         with SQLiteExecutor(cache_size=2) as ex:
             key = ex.register(db)
-            first = ex.execute(key, "SELECT 1")
-            ex.execute(key, "SELECT 2")
-            assert ex.execute(key, "SELECT 1") is first  # refreshes recency
-            ex.execute(key, "SELECT 3")  # evicts "SELECT 2"
-            assert ex.execute(key, "SELECT 1") is first
-            recomputed = ex.execute(key, "SELECT 2")
-            assert recomputed.rows == [(2,)]
-            assert ex.stats().cache_misses == 4  # 1, 2, 3, and 2 again
+
+            def run():
+                first = ex.execute(key, "SELECT 1")
+                ex.execute(key, "SELECT 2")
+                # A hit refreshes recency.
+                assert ex.execute(key, "SELECT 1") is first
+                ex.execute(key, "SELECT 3")  # evicts "SELECT 2"
+                assert ex.execute(key, "SELECT 1") is first
+                recomputed = ex.execute(key, "SELECT 2")
+                assert recomputed.rows == [(2,)]
+
+            _, metrics = observed(run)
+            # 1, 2, 3, and 2 again.
+            assert metrics.counter("executor.cache_misses") == 4

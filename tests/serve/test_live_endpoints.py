@@ -286,9 +286,11 @@ class TestEachRequestRecordedOnce:
     @staticmethod
     def _counts(service, endpoint, tenant):
         live = service.live
+        # Requests for an unknown tenant are labelled tenant="".
+        label = tenant if tenant in service.registry.ids() else ""
         return {
             "registry": service.observer.metrics.snapshot().counter(
-                "serve.requests", endpoint=endpoint, tenant=tenant
+                "serve.requests", endpoint=endpoint, tenant=label
             ),
             "windowed": live.windows.counter_total(
                 "serve.requests", endpoint=endpoint
@@ -329,3 +331,22 @@ class TestEachRequestRecordedOnce:
         assert after["ledger"] - before["ledger"] == int(known_tenant)
         if not known_tenant:
             assert live_service.live.ledger.usage(tenant) is None
+
+    def test_unknown_tenants_share_one_registry_key(self, live_service,
+                                                    dev_set):
+        """Distinct bad tenant ids add no per-id registry state."""
+        db_id = dev_set.examples[0].db_id
+        for ghost in ("ghost-1", "ghost-2", "ghost-3"):
+            status, _ = live_service.translate(
+                self._request("translate", dev_set, ghost, db_id)
+            )
+            assert status == 404
+        snapshot = live_service.observer.metrics.snapshot()
+        keys = [key for key in snapshot.counters
+                if key.startswith("serve.requests{")]
+        assert keys == ["serve.requests{endpoint=translate,tenant=}"]
+        assert snapshot.counters[keys[0]] == 3
+        assert [key for key in snapshot.histograms
+                if key.startswith("serve.latency_ms{")] == [
+            "serve.latency_ms{endpoint=translate,tenant=}"
+        ]

@@ -91,6 +91,24 @@ class TestEvaluate:
         assert code == 0
         assert "EM" in capsys.readouterr().out
 
+    def test_cache_dir_reports_warm_hits(self, corpus_dir, capsys,
+                                         tmp_path):
+        """The prompt-cache line reads the run's telemetry: the warm
+        re-run hits every lookup."""
+        argv = [
+            "evaluate",
+            "--train", str(corpus_dir / "train.json"),
+            "--dev", str(corpus_dir / "dev.json"),
+            "--approach", "zero",
+            "--limit", "4",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(argv) == 0
+        assert "/ 4 lookups" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert ("prompt cache: 4 hits / 4 lookups (hit rate 100.0%)"
+                in capsys.readouterr().out)
+
     def test_repair_flags_rejected_for_other_approaches(self, corpus_dir):
         with pytest.raises(SystemExit, match="purple approach only"):
             main(
